@@ -76,10 +76,8 @@ struct RunStats {
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
   uint64_t pool_jobs = 0;
-  uint64_t pool_verify_jobs = 0;
   uint64_t pool_mac_shard_jobs = 0;
   uint64_t pool_digest_shard_jobs = 0;
-  uint64_t verify_memo_hits = 0;
   // Network accounting (per-simulation, so no snapshot needed).
   uint64_t messages_delivered = 0;
   uint64_t bytes_delivered = 0;
@@ -175,8 +173,7 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
       static_cast<SimTime>(total) * kSecond);
   auto stop = std::chrono::steady_clock::now();
 
-  // Leave the process in the default state (queued prologue jobs survive the
-  // pool shrink and are claimed at their joins when the group tears down).
+  // Leave the process in the default state.
   hotpath::SetCachesEnabled(true);
   hotpath::SetCryptoKernelEnabled(true);
   WorkerPool::Global().SetThreads(0);
@@ -200,12 +197,10 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
   s.memo_hits = after.digest_memo_hits - before.digest_memo_hits;
   s.memo_misses = after.digest_memo_misses - before.digest_memo_misses;
   s.pool_jobs = after.pool_jobs - before.pool_jobs;
-  s.pool_verify_jobs = after.pool_verify_jobs - before.pool_verify_jobs;
   s.pool_mac_shard_jobs =
       after.pool_mac_shard_jobs - before.pool_mac_shard_jobs;
   s.pool_digest_shard_jobs =
       after.pool_digest_shard_jobs - before.pool_digest_shard_jobs;
-  s.verify_memo_hits = after.verify_memo_hits - before.verify_memo_hits;
   const Network& net = group.sim().network();
   s.messages_delivered = net.messages_delivered();
   s.bytes_delivered = net.bytes_delivered();
@@ -244,10 +239,8 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("digest_memo_hits", s.memo_hits);
   json.Field("digest_memo_misses", s.memo_misses);
   json.Field("pool_jobs", s.pool_jobs);
-  json.Field("pool_verify_jobs", s.pool_verify_jobs);
   json.Field("pool_mac_shard_jobs", s.pool_mac_shard_jobs);
   json.Field("pool_digest_shard_jobs", s.pool_digest_shard_jobs);
-  json.Field("verify_memo_hits", s.verify_memo_hits);
   json.EndObject();
 }
 
@@ -439,7 +432,7 @@ int main(int argc, char** argv) {
   json.EndObject();
 
   // Worker-pool pipeline, like-for-like: caches and crypto kernel on both
-  // times, pool empty (every verify/MAC/digest job runs synchronously at its
+  // times, pool empty (every MAC/digest shard job runs synchronously at its
   // join point) then `pool_threads` workers racing the event loop to the
   // same joins. The pool may only move work off the critical path — the
   // same-seed EventTrace digests must be byte-identical — so the wall-clock

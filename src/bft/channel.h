@@ -23,8 +23,6 @@
 #ifndef SRC_BFT_CHANNEL_H_
 #define SRC_BFT_CHANNEL_H_
 
-#include <functional>
-
 #include "src/bft/config.h"
 #include "src/bft/message.h"
 #include "src/crypto/hmac.h"
@@ -68,6 +66,9 @@ class Channel {
 
   // Parses and authenticates an envelope addressed to this node. Charges
   // verification cost. Rejects unknown senders, bad MACs, bad signatures.
+  // Verification is synchronous and checks only this receiver's MAC; the
+  // envelope digest of a delivered multicast buffer is shared through the
+  // simulation's DeliveryDigestMemo, never the verdict.
   Result<WireMessage> Open(BytesView wire);
 
   // Parses and verifies a *signed* envelope out of band (e.g. a proof buried
@@ -85,19 +86,6 @@ class Channel {
   // Test hook: when set, the channel flips a byte in every outgoing MAC /
   // signature (models a replica whose authentication is broken).
   void CorruptOutgoingAuth(bool enabled) { corrupt_outgoing_ = enabled; }
-
-  // Installs the worker-pool pipeline prologue on `sim` (ServiceGroup calls
-  // this once per simulation): every scheduled delivery buffer gets a verify
-  // job that computes the envelope digest and per-receiver authentication
-  // verdicts ahead of time, published into the sim's delivery memos at the
-  // deterministic join point before the first receiving handler runs. Open()
-  // consumes the verdicts when the buffer identity and key-epoch marker
-  // still match, and falls back to the synchronous path otherwise, so
-  // results — and with caches off, even the hashing profile — are identical
-  // whether or not a prologue ran. `keys` and the sim must outlive the sim's
-  // event processing.
-  static void InstallVerifyPrologue(Simulation* sim, const KeyTable* keys,
-                                    const Config& config);
 
  private:
   Bytes Seal(MsgType type, BytesView payload, AuthKind kind, NodeId to);

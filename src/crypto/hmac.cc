@@ -294,32 +294,6 @@ std::array<uint8_t, Sha256::kDigestSize> KeyTable::Sign(
   return it->second.Hmac(message);
 }
 
-HmacKey KeyTable::PairKeySnapshot(int a, int b, uint64_t* marker) const {
-  if (marker != nullptr) {
-    *marker = PairEpochMarker(a, b);
-  }
-  HmacKey scratch;
-  return PairKey(a, b, scratch);
-}
-
-HmacKey KeyTable::SigningKeySnapshot(int node) const {
-  if (!hotpath::caches_enabled()) {
-    return HmacKey(SigningKey(node));
-  }
-  auto it = signing_cache_.find(node);
-  if (it == signing_cache_.end()) {
-    Bytes key = SigningKey(node);
-    it = signing_cache_.emplace(node, HmacKey(key)).first;
-  }
-  return it->second;
-}
-
-uint64_t KeyTable::PairEpochMarker(int a, int b) const {
-  int lo = std::min(a, b);
-  int hi = std::max(a, b);
-  return std::max(epochs_[lo], epochs_[hi]);
-}
-
 void KeyTable::RefreshKeysFor(int node) { ++epochs_[node]; }
 
 Authenticator Authenticator::Compute(const KeyTable& keys, int sender, int n,
@@ -336,16 +310,6 @@ bool Authenticator::Verify(const KeyTable& keys, int sender, int receiver,
     return false;
   }
   Mac expected = keys.PairMac(sender, receiver, message);
-  return ConstantTimeEqual(BytesView(expected.data(), kMacSize),
-                           BytesView(macs_[receiver].data(), kMacSize));
-}
-
-bool Authenticator::VerifyWith(const HmacKey& key, int receiver,
-                               BytesView message) const {
-  if (receiver < 0 || static_cast<size_t>(receiver) >= macs_.size()) {
-    return false;
-  }
-  Mac expected = key.MacOf(message);
   return ConstantTimeEqual(BytesView(expected.data(), kMacSize),
                            BytesView(macs_[receiver].data(), kMacSize));
 }

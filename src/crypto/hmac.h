@@ -93,21 +93,6 @@ class KeyTable {
   std::array<uint8_t, Sha256::kDigestSize> Sign(int node,
                                                 BytesView message) const;
 
-  // --- Worker-pool snapshots -----------------------------------------------
-  // The caches above are mutable std::maps and therefore main-thread only.
-  // Pipeline prologue jobs instead capture value copies of the HmacKeys they
-  // need at submit time (on the main thread) and carry them to the worker.
-
-  // Copy of the cached pairwise HmacKey plus the epoch marker it was built
-  // under (max of the two endpoints' epochs). A verdict computed against this
-  // snapshot is valid only while PairEpochMarker(a, b) still returns the same
-  // marker. Main thread only; populates the session cache like PairMac does.
-  HmacKey PairKeySnapshot(int a, int b, uint64_t* marker) const;
-  // Copy of the cached signing HmacKey (signing keys never rotate).
-  HmacKey SigningKeySnapshot(int node) const;
-  // Current epoch marker for the pair, for validating snapshot verdicts.
-  uint64_t PairEpochMarker(int a, int b) const;
-
   // Refreshes all keys involving `node` (called when the node recovers).
   void RefreshKeysFor(int node);
 
@@ -144,12 +129,6 @@ class Authenticator {
   // Verifies the MAC addressed to `receiver`.
   bool Verify(const KeyTable& keys, int sender, int receiver,
               BytesView message) const;
-
-  // Same check against a caller-supplied pairwise key snapshot (the
-  // worker-pool prologue cannot touch the KeyTable caches off-thread).
-  // Equivalent to Verify(keys, sender, receiver, message) whenever `key` is
-  // the current (sender, receiver) session key.
-  bool VerifyWith(const HmacKey& key, int receiver, BytesView message) const;
 
   // Wire encoding: concatenated fixed-size MACs.
   Bytes Encode() const;

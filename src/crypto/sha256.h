@@ -2,8 +2,10 @@
 //
 // The BFT protocol hashes requests, replies, checkpoints and every node of
 // the state-partition tree, so digest throughput shows up directly in the
-// replication overhead the paper measures. The implementation is a plain
-// streaming hasher with no dependencies.
+// replication overhead the paper measures. The implementation is a
+// streaming hasher with no dependencies; with the crypto kernel on, every
+// block it compresses (buffered, bulk or padding) runs through
+// sha256_multi::CompressBlocks, i.e. on SHA-NI where the CPU has it.
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -43,7 +45,8 @@ class Sha256 {
   void ExportState(uint32_t out[8]) const;
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  // Compresses `nblocks` consecutive 64-byte blocks into state_.
+  void ProcessBlocks(const uint8_t* data, size_t nblocks);
 
   uint32_t state_[8];
   uint64_t bit_count_;

@@ -16,9 +16,10 @@
 //      HMAC finalizations) skip the Update/Final buffering state machine and
 //      cost exactly one compression from the IV or a saved midstate.
 //   3. Hardware dispatch. On x86-64 with the SHA extensions, block
-//      compression (bulk, lanes and one-shot alike) runs on the SHA-NI unit;
-//      otherwise lanes use an interleaved portable implementation the
-//      compiler vectorizes and bulk falls back to the scalar reference.
+//      compression (bulk, buffered, lanes and one-shot alike) runs on the
+//      SHA-NI unit; otherwise lanes use an interleaved portable
+//      implementation the compiler vectorizes and bulk falls back to the
+//      scalar reference.
 //
 // Everything here is gated by hotpath::crypto_kernel_enabled(); with the
 // switch off, callers take the scalar streaming path bit-for-bit as before.

@@ -43,48 +43,4 @@ void DeliveryDigestMemo::Store(const std::shared_ptr<const Bytes>& buf,
 
 void DeliveryDigestMemo::Clear() { entries_.clear(); }
 
-std::optional<DeliveryVerdict> DeliveryVerifyMemo::Lookup(
-    const std::shared_ptr<const Bytes>& buf, int receiver) const {
-  if (!hotpath::caches_enabled() || buf == nullptr) {
-    ++hotpath::counters().verify_memo_misses;
-    return std::nullopt;
-  }
-  auto it = entries_.find(buf.get());
-  if (it != entries_.end()) {
-    std::shared_ptr<const Bytes> cached = it->second.buf.lock();
-    if (cached.get() == buf.get()) {
-      for (const DeliveryVerdict& v : it->second.verdicts) {
-        if (v.receiver == receiver ||
-            v.receiver == DeliveryVerdict::kAnyReceiver) {
-          ++hotpath::counters().verify_memo_hits;
-          return v;
-        }
-      }
-      ++hotpath::counters().verify_memo_misses;
-      return std::nullopt;
-    }
-    entries_.erase(it);
-  }
-  ++hotpath::counters().verify_memo_misses;
-  return std::nullopt;
-}
-
-void DeliveryVerifyMemo::Store(const std::shared_ptr<const Bytes>& buf,
-                               std::vector<DeliveryVerdict> verdicts) {
-  if (!hotpath::caches_enabled() || buf == nullptr || verdicts.empty()) {
-    return;
-  }
-  if (entries_.size() >= kSweepThreshold) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      it = it->second.buf.expired() ? entries_.erase(it) : std::next(it);
-    }
-    if (entries_.size() >= kSweepThreshold) {
-      entries_.clear();  // pathological: everything still live; start over
-    }
-  }
-  entries_[buf.get()] = Entry{buf, std::move(verdicts)};
-}
-
-void DeliveryVerifyMemo::Clear() { entries_.clear(); }
-
 }  // namespace bftbase

@@ -15,11 +15,9 @@
 #ifndef SRC_SIM_DIGEST_MEMO_H_
 #define SRC_SIM_DIGEST_MEMO_H_
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "src/crypto/digest.h"
 #include "src/util/bytes.h"
@@ -47,53 +45,6 @@ class DeliveryDigestMemo {
   // Entries whose buffer died are dropped lazily (on colliding lookups and
   // by the periodic sweep in Store); the map is bounded so a long run cannot
   // accumulate tombstones.
-  static constexpr size_t kSweepThreshold = 4096;
-
-  mutable std::unordered_map<const void*, Entry> entries_;
-};
-
-// Authentication verdicts computed ahead of time by worker-pool prologue
-// jobs, keyed like DeliveryDigestMemo by delivered-buffer identity.
-//
-// Unlike the digest memo this DOES cache authentication results — which is
-// safe only because each verdict is bound to (a) the exact live buffer via a
-// validated weak_ptr, (b) one receiver id (or kAnyReceiver for transferable
-// signatures, where every receiver checks the same bytes), and (c) the
-// pairwise key-epoch marker the MAC was checked under. The consumer
-// (Channel::Open) compares the marker against the key table's current one
-// and falls back to a synchronous check on any mismatch, so key refreshes
-// during proactive recovery can never be satisfied by a stale verdict.
-// Verdicts are published only at the simulation's deterministic join point,
-// before the receiving handler runs.
-struct DeliveryVerdict {
-  static constexpr int kAnyReceiver = -1;
-  int receiver = kAnyReceiver;
-  uint64_t key_marker = 0;  // epoch marker the verdict was computed under
-  bool valid = false;
-};
-
-class DeliveryVerifyMemo {
- public:
-  // Returns the verdict stored for exactly this buffer and `receiver` (or a
-  // kAnyReceiver entry), or nullopt. Counts a hotpath verify-memo hit/miss;
-  // always misses when hotpath caches are disabled.
-  std::optional<DeliveryVerdict> Lookup(const std::shared_ptr<const Bytes>& buf,
-                                        int receiver) const;
-
-  // Caches per-receiver verdicts for `buf`. No-op when hotpath caches are
-  // disabled or `verdicts` is empty.
-  void Store(const std::shared_ptr<const Bytes>& buf,
-             std::vector<DeliveryVerdict> verdicts);
-
-  void Clear();
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::weak_ptr<const Bytes> buf;
-    std::vector<DeliveryVerdict> verdicts;
-  };
-
   static constexpr size_t kSweepThreshold = 4096;
 
   mutable std::unordered_map<const void*, Entry> entries_;

@@ -46,11 +46,8 @@ void SyncHotPathCounters(MetricsRegistry& metrics) {
   metrics.Set("hot.events_pruned", c.events_pruned);
   metrics.Set("hot.events_requeued", c.events_requeued);
   metrics.Set("hot.pool_jobs", c.pool_jobs);
-  metrics.Set("hot.pool_verify_jobs", c.pool_verify_jobs);
   metrics.Set("hot.pool_mac_shard_jobs", c.pool_mac_shard_jobs);
   metrics.Set("hot.pool_digest_shard_jobs", c.pool_digest_shard_jobs);
-  metrics.Set("hot.verify_memo_hits", c.verify_memo_hits);
-  metrics.Set("hot.verify_memo_misses", c.verify_memo_misses);
 }
 
 void MetricsRegistry::Counter::Rebind() {

@@ -11,17 +11,7 @@ Simulation::Simulation(uint64_t seed, CostModel cost)
   network_ = new Network(this);
 }
 
-Simulation::~Simulation() {
-  // Jobs for deliveries that never ran (early-stopped runs) must be joined
-  // before teardown: a worker finishing later would otherwise release the
-  // captured buffers off the simulation thread mid-way through another run.
-  for (auto& [addr, pending] : pending_prologue_) {
-    (void)addr;
-    WorkerPool::Global().Join(pending.job);
-  }
-  pending_prologue_.clear();
-  delete network_;
-}
+Simulation::~Simulation() { delete network_; }
 
 void Simulation::AddNode(NodeId id, SimNode* node) {
   assert(node != nullptr);
@@ -102,40 +92,9 @@ void Simulation::SetBusyUntil(NodeId owner, SimTime until) {
   }
 }
 
-void Simulation::MaybeSubmitPrologue(
-    const std::shared_ptr<const Bytes>& payload, NodeId to) {
-  if (!prologue_fn_ || payload == nullptr ||
-      pending_prologue_.count(payload.get()) != 0) {
-    return;
-  }
-  DeliveryPrologue p = prologue_fn_(payload, to);
-  if (p.job == nullptr) {
-    return;
-  }
-  pending_prologue_.emplace(
-      payload.get(),
-      PendingPrologue{payload, std::move(p.job), std::move(p.publish)});
-}
-
-void Simulation::JoinPrologue(const std::shared_ptr<const Bytes>& payload) {
-  if (pending_prologue_.empty() || payload == nullptr) {
-    return;
-  }
-  auto it = pending_prologue_.find(payload.get());
-  if (it == pending_prologue_.end()) {
-    return;
-  }
-  WorkerPool::Global().Join(it->second.job);
-  if (it->second.publish) {
-    it->second.publish();
-  }
-  pending_prologue_.erase(it);
-}
-
 void Simulation::ScheduleDelivery(SimTime when, NodeId to, NodeId from,
                                   std::shared_ptr<const Bytes> payload,
                                   int tag) {
-  MaybeSubmitPrologue(payload, to);
   if (scale_kernel_) {
     // A delivery is a tagged struct in a recycled pool slot — no callback,
     // no allocation beyond the slot itself.
@@ -162,12 +121,6 @@ void Simulation::ScheduleDelivery(SimTime when, NodeId to, NodeId from,
 
 void Simulation::RunDelivery(NodeId to, NodeId from, int tag,
                              std::shared_ptr<const Bytes> payload) {
-  // Deterministic pipeline join point: the prologue job (if any) for this
-  // buffer finishes, publishes into the delivery memos, and merges its
-  // counters NOW — before the handler (or even the does-the-node-exist
-  // check, so crashed receivers cannot leak a pending job) can observe
-  // anything. See DESIGN.md §13.
-  JoinPrologue(payload);
   SimNode* node = GetNode(to);
   if (node == nullptr) {
     return;

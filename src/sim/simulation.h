@@ -37,8 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include <unordered_map>
-
 #include "src/sim/cost_model.h"
 #include "src/sim/digest_memo.h"
 #include "src/sim/event_queue.h"
@@ -46,7 +44,6 @@
 #include "src/sim/trace.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
-#include "src/util/workerpool.h"
 
 namespace bftbase {
 
@@ -188,29 +185,6 @@ class Simulation {
   // Envelope digests memoized per delivered buffer (see digest_memo.h).
   DeliveryDigestMemo& digest_memo() { return digest_memo_; }
 
-  // Authentication verdicts published by prologue jobs (see digest_memo.h).
-  DeliveryVerifyMemo& verify_memo() { return verify_memo_; }
-
-  // --- Worker-pool pipeline prologue ---------------------------------------
-  // When installed (by the bft layer, which knows the envelope format and
-  // keys), ScheduleDelivery offers every newly scheduled shared buffer to the
-  // factory exactly once; if the factory returns a job, it is submitted to
-  // the worker pool and joined — with `publish` run on the simulation thread
-  // — at the top of RunDelivery, BEFORE the receiving handler observes
-  // anything. That single join point is what keeps handler-visible state and
-  // EventTrace digests byte-identical at any thread count: a job's results
-  // become visible at the same virtual instant whether a worker precomputed
-  // them or the join ran them inline.
-  struct DeliveryPrologue {
-    WorkerPool::JobRef job;          // null => nothing to precompute
-    std::function<void()> publish;   // main-thread result publication
-  };
-  using DeliveryPrologueFn = std::function<DeliveryPrologue(
-      const std::shared_ptr<const Bytes>& payload, NodeId to)>;
-  void SetDeliveryPrologue(DeliveryPrologueFn fn) {
-    prologue_fn_ = std::move(fn);
-  }
-
  private:
   // Legacy kernel: the pre-overhaul event representation, kept verbatim so
   // bench_scale can compare against it in one binary. Every event is a
@@ -297,30 +271,12 @@ class Simulation {
   std::map<NodeId, SimNode*> nodes_map_;
   std::map<NodeId, SimTime> busy_map_;
 
-  // Submits the prologue job for a freshly scheduled buffer (at most once
-  // per buffer); joins + publishes + retires it before the first delivery of
-  // that buffer runs its handler.
-  void MaybeSubmitPrologue(const std::shared_ptr<const Bytes>& payload,
-                           NodeId to);
-  void JoinPrologue(const std::shared_ptr<const Bytes>& payload);
-
   std::function<void()> step_observer_;
   MetricsRegistry metrics_;
   EventTrace trace_;
   Network* network_;
   std::shared_ptr<const Bytes> current_delivery_;
   DeliveryDigestMemo digest_memo_;
-  DeliveryVerifyMemo verify_memo_;
-
-  struct PendingPrologue {
-    // Owning ref: while the entry exists the buffer cannot die, so the
-    // pointer key can never alias a recycled allocation.
-    std::shared_ptr<const Bytes> buffer;
-    WorkerPool::JobRef job;
-    std::function<void()> publish;
-  };
-  DeliveryPrologueFn prologue_fn_;
-  std::unordered_map<const void*, PendingPrologue> pending_prologue_;
 };
 
 }  // namespace bftbase

@@ -95,8 +95,8 @@ class Decoder {
   }
 
   // Length-prefixed byte string as a view into the decoder's buffer — no
-  // copy. Only valid while the underlying buffer lives; the worker-pool
-  // prologue uses it to parse envelopes whose shared buffer it pins.
+  // copy. Only valid while the underlying buffer lives; Channel::Open reads
+  // the authenticator bytes this way.
   BytesView GetBytesView() {
     uint32_t n = GetU32();
     if (!Require(n)) {

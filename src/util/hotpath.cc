@@ -31,11 +31,8 @@ void MergeCounters(const Counters& delta) {
   c.events_pruned += delta.events_pruned;
   c.events_requeued += delta.events_requeued;
   c.pool_jobs += delta.pool_jobs;
-  c.pool_verify_jobs += delta.pool_verify_jobs;
   c.pool_mac_shard_jobs += delta.pool_mac_shard_jobs;
   c.pool_digest_shard_jobs += delta.pool_digest_shard_jobs;
-  c.verify_memo_hits += delta.verify_memo_hits;
-  c.verify_memo_misses += delta.verify_memo_misses;
 }
 
 void ResetCounters() { internal::g_counters = Counters{}; }

@@ -53,12 +53,8 @@ struct Counters {
   // program points, so they are identical at any thread count — telemetry
   // that depends on scheduling luck lives in WorkerPool's own stats instead.
   uint64_t pool_jobs = 0;            // jobs submitted to the worker pool
-  uint64_t pool_verify_jobs = 0;     // prologue: delivery digest+verify jobs
   uint64_t pool_mac_shard_jobs = 0;  // epilogue: authenticator lane batches
   uint64_t pool_digest_shard_jobs = 0;  // epilogue: checkpoint leaf chunks
-  // Prologue verify memo (src/sim/digest_memo.cc).
-  uint64_t verify_memo_hits = 0;
-  uint64_t verify_memo_misses = 0;
 };
 
 // Per-thread counter shard. The main (simulation) thread's shard is the
@@ -80,9 +76,7 @@ void ResetCounters();
 // relaxed ordering so those reads are race-free under TSan.
 //
 // Result caches on/off (default on). Disabling reproduces the pre-cache
-// hashing profile exactly; outputs are identical either way. Also gates the
-// pipeline prologue: verify jobs publish through the delivery memos, so with
-// caches off no prologue jobs are submitted.
+// hashing profile exactly; outputs are identical either way.
 bool caches_enabled();
 void SetCachesEnabled(bool enabled);
 

@@ -487,6 +487,62 @@ TEST(Sha256Multi, LogicalWorkCountersMatchScalarPath) {
   EXPECT_EQ(kernel[2], scalar[2]);
 }
 
+TEST(Sha256Multi, StreamingHasherKernelMatchesScalar) {
+  // Buffered and padding blocks dispatch to the kernel like bulk ones. Every
+  // way of streaming lengths 0..300 must hash byte-identically with the
+  // kernel on and off and count the same logical work; on SHA-NI hardware
+  // no block may be left to the scalar compressor.
+  Bytes data(300);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 167 + 13);
+  }
+  auto workload = [&data] {
+    std::vector<std::string> digests;
+    for (size_t len = 0; len <= data.size(); ++len) {
+      for (size_t chunk : {size_t{1}, size_t{8}, size_t{32}}) {
+        Sha256 hasher;
+        for (size_t pos = 0; pos < len; pos += chunk) {
+          hasher.Update(
+              BytesView(data.data() + pos, std::min(chunk, len - pos)));
+        }
+        uint8_t out[Sha256::kDigestSize];
+        hasher.Final(out);
+        digests.push_back(HexEncode(BytesView(out, sizeof(out))));
+      }
+      BytesView message(data.data(), len);
+      digests.push_back(Digest::Builder()
+                            .Add(static_cast<uint64_t>(len))
+                            .Add(message)
+                            .Add(Digest::Of(message))
+                            .Build()
+                            .Hex(Digest::kSize));
+    }
+    return digests;
+  };
+  std::vector<std::string> scalar;
+  std::vector<std::string> kernel;
+  hotpath::Counters off_counters;
+  {
+    ScopedCryptoKernel off(false);
+    hotpath::ResetCounters();
+    scalar = workload();
+    off_counters = hotpath::counters();
+    EXPECT_EQ(off_counters.sha256_ni_blocks, 0u);
+    EXPECT_EQ(off_counters.sha256_multi_blocks, 0u);
+  }
+  ScopedCryptoKernel on(true);
+  hotpath::ResetCounters();
+  kernel = workload();
+  const hotpath::Counters& c = hotpath::counters();
+  EXPECT_EQ(kernel, scalar);
+  EXPECT_EQ(c.sha256_blocks, off_counters.sha256_blocks);
+  EXPECT_EQ(c.sha256_invocations, off_counters.sha256_invocations);
+  EXPECT_EQ(c.bytes_hashed, off_counters.bytes_hashed);
+  if (sha256_multi::HasShaNi()) {
+    EXPECT_EQ(c.sha256_ni_blocks, c.sha256_blocks);
+  }
+}
+
 TEST(Authenticator, VerifiesOnlyAddressedEntry) {
   KeyTable keys(0x42, 6);
   Bytes message = ToBytes("multicast body");

@@ -310,6 +310,57 @@ TEST_F(ChannelTest, InterceptorMutatedCopyRejectedOthersUnaffected) {
   EXPECT_FALSE(carol_node.oks[0]);
 }
 
+TEST_F(ChannelTest, UnicastAuthenticatorCostsOneReceiversVerify) {
+  // A client request goes to the primary alone: its delivery must verify
+  // only the receiver's own MAC, not precompute all n authenticator lanes.
+  // The first direct Open warms the session-key cache; the second is the
+  // reference cost.
+  OpeningNode bob_node(&bob_);
+  sim_.AddNode(1, &bob_node);
+  Bytes wire = client_.SealAuthenticated(MsgType::kRequest, ToBytes("op"));
+  ASSERT_TRUE(bob_.Open(wire).ok());
+  uint64_t before = hotpath::counters().sha256_invocations;
+  ASSERT_TRUE(bob_.Open(wire).ok());
+  const uint64_t direct = hotpath::counters().sha256_invocations - before;
+  before = hotpath::counters().sha256_invocations;
+  sim_.After(0, 0, [&] { sim_.network().Send(config_.ClientId(0), 1, wire); });
+  sim_.RunUntilIdle();
+  const uint64_t delivered = hotpath::counters().sha256_invocations - before;
+  ASSERT_EQ(bob_node.oks.size(), 1u);
+  EXPECT_TRUE(bob_node.oks[0]);
+  EXPECT_EQ(delivered, direct);
+}
+
+TEST_F(ChannelTest, MacSealedBeforeKeyRefreshRejectedAtDelivery) {
+  // Proactive recovery rotates the sender's session keys while its
+  // messages may still be in flight: a MAC computed under the old key must
+  // fail when it arrives, for both the single-MAC and authenticator forms.
+  OpeningNode bob_node(&bob_);
+  sim_.AddNode(1, &bob_node);
+  Bytes mac_wire = alice_.SealMac(MsgType::kReply, ToBytes("old key"), 1);
+  Bytes auth_wire = alice_.SealAuthenticated(MsgType::kCommit, ToBytes("old"));
+  sim_.After(0, 0, [&] {
+    sim_.network().Send(0, 1, mac_wire);
+    sim_.network().Send(0, 1, auth_wire);
+    keys_.RefreshKeysFor(0);  // while both are in flight
+  });
+  sim_.RunUntilIdle();
+  ASSERT_EQ(bob_node.oks.size(), 2u);
+  EXPECT_FALSE(bob_node.oks[0]);
+  EXPECT_FALSE(bob_node.oks[1]);
+  // Control: the same messages sealed under the new key verify.
+  sim_.After(0, 0, [&] {
+    sim_.network().Send(
+        0, 1, alice_.SealMac(MsgType::kReply, ToBytes("new key"), 1));
+    sim_.network().Send(
+        0, 1, alice_.SealAuthenticated(MsgType::kCommit, ToBytes("new")));
+  });
+  sim_.RunUntilIdle();
+  ASSERT_EQ(bob_node.oks.size(), 4u);
+  EXPECT_TRUE(bob_node.oks[2]);
+  EXPECT_TRUE(bob_node.oks[3]);
+}
+
 TEST(DeliveryDigestMemo, StaleAddressDoesNotServeOldDigest) {
   // The memo is keyed by buffer address; a freed buffer's address can be
   // reused by a later allocation. The weak_ptr identity check must treat the

@@ -1,13 +1,14 @@
 // Determinism witness for the worker-pool crypto pipeline (DESIGN.md §13).
 //
-// The pipeline moves real crypto work — envelope digests, MAC verification,
-// authenticator lanes, checkpoint leaf digests — onto worker threads, but
-// every result is published at a deterministic join point before the
-// receiving handler runs. This suite is the oracle for that claim: the 28
-// pinned chaos seeds and both wall-clock bench configs must produce
-// byte-identical EventTrace digests AND identical hot.* logical-work
-// counters for thread counts 0, 1, 2 and 8. Any divergence means a result
-// or counter leaked across the join point.
+// The pipeline moves two coarse kinds of real crypto work onto worker
+// threads — authenticator lane batches when n > 8 (PairMacs shards) and
+// checkpoint leaf digests in 64-leaf chunks (DigestMany shards) — and joins
+// each job at a fixed program point before its results are used. This
+// suite is the oracle for that claim: the 28 pinned chaos seeds, both
+// wall-clock bench configs and a sharded config where both stages provably
+// fire must produce byte-identical EventTrace digests AND identical hot.*
+// logical-work counters for thread counts 0, 1, 2 and 8. Any divergence
+// means a result or counter leaked across a join point.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,6 +20,7 @@
 
 #include "src/base/kv_adapter.h"
 #include "src/base/service_group.h"
+#include "src/crypto/digest.h"
 #include "src/util/bufpool.h"
 #include "src/util/hotpath.h"
 #include "src/util/workerpool.h"
@@ -63,11 +65,8 @@ CounterRows SnapshotCounters() {
       {"events_pruned", c.events_pruned},
       {"events_requeued", c.events_requeued},
       {"pool_jobs", c.pool_jobs},
-      {"pool_verify_jobs", c.pool_verify_jobs},
       {"pool_mac_shard_jobs", c.pool_mac_shard_jobs},
       {"pool_digest_shard_jobs", c.pool_digest_shard_jobs},
-      {"verify_memo_hits", c.verify_memo_hits},
-      {"verify_memo_misses", c.verify_memo_misses},
   };
 }
 
@@ -111,12 +110,9 @@ TEST(PipelineWitness, ChaosSeedsIdenticalAcrossThreadCounts) {
       ScopedThreads threads(0);
       base_counters = RunCold([&] { base = RunChaos(options); });
     }
+    // These f=1 runs need not reach a sharded stage; ShardedStagesFire below
+    // is the config where both stages provably submit pool jobs.
     ASSERT_FALSE(base.Failed()) << "seed " << seed;
-    // The witness is vacuous if the pipeline never submits work: require
-    // verify prologues on every seed (the sharded stages trigger only for
-    // large batches, so just the aggregate job counter is checked here).
-    EXPECT_GT(CounterValue(base_counters, "pool_verify_jobs"), 0u)
-        << "seed " << seed;
     for (int n : kThreadSweep) {
       if (n == 0) {
         continue;
@@ -140,19 +136,21 @@ TEST(PipelineWitness, ChaosSeedsIdenticalAcrossThreadCounts) {
 constexpr uint32_t kKvSlots = 4096;
 
 // The bench_wallclock closed-loop KV workload (same group parameters, slot
-// schedule and value bytes), with the trace enabled.
+// schedule and value bytes), with the trace enabled. `replies` digests the
+// client-visible schedule: which client completed when, in order.
 struct TraceResult {
   bool ok = false;
   std::string digest;
   uint64_t events = 0;
+  std::string replies;
 };
 
 TraceResult RunWallclock(int f, int clients, int requests_per_client,
-                         uint64_t seed) {
+                         uint64_t seed, int checkpoint_interval = 128) {
   ServiceGroup::Params params;
   params.config.f = f;
-  params.config.checkpoint_interval = 128;
-  params.config.log_window = 256;
+  params.config.checkpoint_interval = checkpoint_interval;
+  params.config.log_window = 2 * checkpoint_interval;
   params.config.max_clients = clients < 16 ? 16 : clients;
   params.seed = seed;
   ServiceGroup group(std::move(params), [](Simulation* sim, NodeId) {
@@ -162,6 +160,7 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
 
   const uint64_t total = static_cast<uint64_t>(clients) * requests_per_client;
   uint64_t completed = 0;
+  Digest::Builder replies;
   Bytes value(1024, 0xab);
   std::vector<int> issued(clients, 0);
   std::vector<std::function<void()>> issue(clients);
@@ -175,6 +174,9 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
       group.client(i).Invoke(KvAdapter::EncodeSet(slot, value),
                              /*read_only=*/false, [&, i](Status, Bytes) {
                                ++completed;
+                               replies.Add(static_cast<uint64_t>(i))
+                                   .Add(static_cast<uint64_t>(
+                                       group.sim().Now()));
                                issue[i]();
                              });
     };
@@ -187,6 +189,7 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
                                   static_cast<SimTime>(total) * kSecond);
   r.digest = group.sim().trace().digest().Hex();
   r.events = group.sim().trace().event_count();
+  r.replies = replies.Build().Hex(Digest::kSize);
   return r;
 }
 
@@ -220,12 +223,48 @@ TEST(PipelineWitness, WallclockConfigsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(r.digest, pin.digest) << label;
       EXPECT_EQ(r.events, pin.events) << label;
       if (n == 0) {
-        EXPECT_GT(CounterValue(counters, "pool_verify_jobs"), 0u) << label;
         base_counters = std::move(counters);
       } else {
         ExpectSameCounters(base_counters, counters, label);
       }
     }
+  }
+}
+
+TEST(PipelineWitness, ShardedStagesFireAndMatchAcrossThreadCounts) {
+  // f=3 gives n=10 replicas, so every authenticator is two lane batches and
+  // PairMacs shards them; 32 clients writing distinct slots dirty well over
+  // 64 leaves per 32-sequence-number checkpoint, so DigestMany chunks too.
+  constexpr int kF = 3;
+  constexpr int kClients = 32;
+  constexpr int kRequests = 8;
+  constexpr uint64_t kSeed = 7003;
+  constexpr int kCheckpointInterval = 32;
+  TraceResult base;
+  CounterRows base_counters;
+  for (int n : kThreadSweep) {
+    ScopedThreads threads(n);
+    TraceResult r;
+    CounterRows counters = RunCold([&] {
+      r = RunWallclock(kF, kClients, kRequests, kSeed, kCheckpointInterval);
+    });
+    const std::string label = "threads " + std::to_string(n);
+    ASSERT_TRUE(r.ok) << label;
+    if (n == 0) {
+      // Not vacuous: both pool stages submitted jobs.
+      EXPECT_GT(CounterValue(counters, "pool_mac_shard_jobs"), 0u);
+      EXPECT_GT(CounterValue(counters, "pool_digest_shard_jobs"), 0u);
+      // Pinned, like the wall-clock configs above.
+      EXPECT_EQ(r.digest, "3b14f044e271");
+      EXPECT_EQ(r.events, 23781u);
+      base = r;
+      base_counters = std::move(counters);
+      continue;
+    }
+    EXPECT_EQ(base.digest, r.digest) << label;
+    EXPECT_EQ(base.events, r.events) << label;
+    EXPECT_EQ(base.replies, r.replies) << label;
+    ExpectSameCounters(base_counters, counters, label);
   }
 }
 
