@@ -12,6 +12,11 @@
 //   checkpoint_batch   64 dirty checkpoint leaves (DigestMany lanes)
 //   tree_grow_rehash   partition tree growing 256->4096 leaves in steps
 //
+// A second table times the simulation's content-keyed DigestCache at 256 B,
+// 1 KiB, 8 KiB and 16 KiB (its size floor, a request, an Andrew write, its
+// size cap): a hit (equal bytes in another buffer), a miss plus store (new
+// bytes every iteration), and a plain kernel hash of the same input.
+//
 // Every section runs with the kernel off (scalar reference) and on, checks
 // the outputs are byte-identical, and reports wall time per op. The tree
 // section additionally reports real node rehashes: with the kernel on, grows
@@ -35,6 +40,7 @@
 
 #include "bench/bench_common.h"
 #include "src/base/partition_tree.h"
+#include "src/crypto/digest_cache.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/sha256_multi.h"
@@ -111,6 +117,70 @@ SectionResult RunSection(const std::string& name, uint64_t iters, Body body) {
   }
   hotpath::SetCryptoKernelEnabled(true);
   r.outputs_match = checksum_off == checksum_on;
+  return r;
+}
+
+struct CacheResult {
+  size_t size = 0;
+  uint64_t iters = 0;
+  double hash_ns = 0;
+  double hit_ns = 0;
+  double miss_store_ns = 0;
+  bool outputs_match = false;
+};
+
+template <typename Body>
+double NsPerIter(uint64_t iters, Body body) {
+  auto start = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < iters; ++i) {
+    body(i);
+  }
+  auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count() * 1e9 /
+         static_cast<double>(iters);
+}
+
+// Times DigestCache::Of against a plain Digest::Of (crypto kernel on) for
+// one input size. Each mode folds its digests into a checksum: the hits must
+// fold to the plain hashes of the same input, the misses to plain hashes of
+// the same fresh inputs.
+CacheResult RunCacheSize(size_t size, uint64_t iters) {
+  CacheResult r;
+  r.size = size;
+  r.iters = iters;
+  Bytes input(size);
+  for (size_t i = 0; i < size; ++i) {
+    input[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+  const Bytes copy = input;  // equal content, another buffer
+  uint64_t plain_sum = 0;
+  uint64_t hit_sum = 0;
+  uint64_t fresh_sum = 0;
+  uint64_t miss_sum = 0;
+  r.hash_ns = NsPerIter(iters, [&](uint64_t) {
+    Digest d = Digest::Of(input);
+    plain_sum = Fold(plain_sum, d.array().data(), Digest::kSize);
+  });
+  DigestCache cache;
+  cache.Of(input);
+  r.hit_ns = NsPerIter(iters, [&](uint64_t) {
+    Digest d = cache.Of(copy);
+    hit_sum = Fold(hit_sum, d.array().data(), Digest::kSize);
+  });
+  // New bytes every iteration: each lookup misses, hashes and replaces a
+  // slot (the first 8 bytes carry the iteration number).
+  Bytes fresh = input;
+  r.miss_store_ns = NsPerIter(iters, [&](uint64_t i) {
+    std::memcpy(fresh.data(), &i, sizeof(i));
+    Digest d = cache.Of(fresh);
+    miss_sum = Fold(miss_sum, d.array().data(), Digest::kSize);
+  });
+  for (uint64_t i = 0; i < iters; ++i) {
+    std::memcpy(fresh.data(), &i, sizeof(i));
+    Digest d = Digest::Of(fresh);
+    fresh_sum = Fold(fresh_sum, d.array().data(), Digest::kSize);
+  }
+  r.outputs_match = hit_sum == plain_sum && miss_sum == fresh_sum;
   return r;
 }
 
@@ -267,6 +337,29 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
+  std::vector<CacheResult> cache_results;
+  for (size_t size : {size_t{256}, size_t{1024}, size_t{8192},
+                      size_t{16384}}) {
+    cache_results.push_back(
+        RunCacheSize(size, (smoke ? 40000 : 4000000) / (size / 64 + 4)));
+  }
+  Table cache_table({"digest cache input", "iters", "kernel hash ns",
+                     "hit ns", "miss+store ns", "hit speedup"});
+  for (const CacheResult& c : cache_results) {
+    char hash_ns[64];
+    std::snprintf(hash_ns, sizeof(hash_ns), "%.0f", c.hash_ns);
+    char hit_ns[64];
+    std::snprintf(hit_ns, sizeof(hit_ns), "%.0f", c.hit_ns);
+    char miss_ns[64];
+    std::snprintf(miss_ns, sizeof(miss_ns), "%.0f", c.miss_store_ns);
+    cache_table.AddRow({std::to_string(c.size) + " B", FormatCount(c.iters),
+                        hash_ns, hit_ns, miss_ns,
+                        FormatRatio(c.hit_ns > 0 ? c.hash_ns / c.hit_ns : 0)});
+    outputs_ok = outputs_ok && c.outputs_match;
+  }
+  std::printf("\n");
+  cache_table.Print();
+
   const SectionResult& tree = sections.back();
   std::printf(
       "\ntree_grow_rehash real node digests: scalar %llu, kernel %llu "
@@ -304,6 +397,19 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
+  json.Key("digest_cache");
+  json.BeginArray();
+  for (const CacheResult& c : cache_results) {
+    json.BeginObject();
+    json.Field("bytes", static_cast<uint64_t>(c.size));
+    json.Field("iters", c.iters);
+    json.Field("kernel_hash_ns", c.hash_ns);
+    json.Field("hit_ns", c.hit_ns);
+    json.Field("miss_store_ns", c.miss_store_ns);
+    json.Field("outputs_match", c.outputs_match);
+    json.EndObject();
+  }
+  json.EndArray();
   EmitBenchMetadata(json, WorkerPool::Global().threads());
   json.EndObject();
   if (!json.WriteFile(json_path)) {
@@ -313,7 +419,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path.c_str());
 
   if (!outputs_ok) {
-    std::printf("FAILED: kernel outputs diverge from the scalar path\n");
+    std::printf(
+        "FAILED: kernel or digest-cache outputs diverge from plain hashing\n");
     return 1;
   }
   // The incremental rehash claim is deterministic: the kernel must digest

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <optional>
 #include <vector>
 
 #include "src/crypto/sha256_multi.h"
@@ -96,69 +97,74 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
   }
 
   // Copy-on-write mode: only leaves touched since the previous checkpoint
-  // need their digest recomputed. With the crypto kernel on, the dirty
-  // leaves are digested as interleaved SHA-256 lanes (same digests, same
-  // simulated charges, same logical-work counters); otherwise one at a time.
-  if (hotpath::crypto_kernel_enabled()) {
-    std::vector<size_t> leaves(dirty_.begin(), dirty_.end());
-    std::vector<Bytes> values;
-    std::vector<BytesView> views;
-    values.reserve(leaves.size());
-    views.reserve(leaves.size());
-    for (size_t leaf : leaves) {
-      values.push_back(leaf == 0 ? protocol_state_
-                                 : adapter_->GetObj(ObjectForLeaf(leaf)));
-      ChargeDigest(values.back().size());
-      views.emplace_back(values.back().data(), values.back().size());
+  // need their digest recomputed. Every replica digests the same abstract
+  // objects, so each leaf is first looked up in the simulation's digest
+  // cache (on this thread, before any pool job runs); only the misses are
+  // hashed — as interleaved SHA-256 lanes with the crypto kernel on (same
+  // digests, same simulated charges, same logical-work counters), otherwise
+  // one at a time — and stored back after the joins, in leaf order.
+  DigestCache& cache = sim_->digests();
+  std::vector<size_t> leaves(dirty_.begin(), dirty_.end());
+  std::vector<Bytes> values;
+  std::vector<Digest> digests(leaves.size());
+  std::vector<size_t> misses;  // positions in `leaves`
+  std::vector<BytesView> miss_views;
+  values.reserve(leaves.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    const size_t leaf = leaves[i];
+    values.push_back(leaf == 0 ? protocol_state_
+                               : adapter_->GetObj(ObjectForLeaf(leaf)));
+    ChargeDigest(values.back().size());
+    BytesView view(values.back().data(), values.back().size());
+    if (std::optional<Digest> hit = cache.Lookup(view)) {
+      digests[i] = *hit;
+    } else {
+      misses.push_back(i);
+      miss_views.push_back(view);
     }
-    std::vector<std::array<uint8_t, Digest::kSize>> digests(leaves.size());
+  }
+  std::vector<std::array<uint8_t, Digest::kSize>> hashed(misses.size());
+  if (hotpath::crypto_kernel_enabled()) {
     // Epilogue sharding: DigestMany processes inputs in independent groups
-    // of kMaxLanes in order, so splitting the leaf range at lane-multiple
+    // of kMaxLanes in order, so splitting the miss range at lane-multiple
     // boundaries produces byte-identical digests AND identical logical-work
     // counters per chunk. Chunks run as worker-pool jobs (inline at the join
-    // when the pool has no threads); `values`/`views`/`digests` outlive the
-    // joins below, and the merge order is the fixed leaf order regardless of
-    // which worker finished first.
-    {
-      constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
-      const size_t count = leaves.size();
-      if (count > kChunk) {
-        std::vector<WorkerPool::JobRef> jobs;
-        jobs.reserve(count / kChunk + 1);
-        for (size_t off = 0; off < count; off += kChunk) {
-          const size_t len = std::min(kChunk, count - off);
-          const BytesView* in = views.data() + off;
-          uint8_t(*out)[Digest::kSize] =
-              reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data() +
-                                                          off);
-          ++hotpath::counters().pool_digest_shard_jobs;
-          jobs.push_back(WorkerPool::Global().Submit(
-              [in, out, len] { sha256_multi::DigestMany(in, out, len); }));
-        }
-        for (const WorkerPool::JobRef& job : jobs) {
-          WorkerPool::Global().Join(job);
-        }
-      } else {
-        sha256_multi::DigestMany(
-            views.data(),
-            reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data()),
-            count);
+    // when the pool has no threads); `values`/`miss_views`/`hashed` outlive
+    // the joins below, and the merge order is the fixed leaf order
+    // regardless of which worker finished first.
+    constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
+    const size_t count = miss_views.size();
+    auto* out = reinterpret_cast<uint8_t(*)[Digest::kSize]>(hashed.data());
+    if (count > kChunk) {
+      std::vector<WorkerPool::JobRef> jobs;
+      jobs.reserve(count / kChunk + 1);
+      for (size_t off = 0; off < count; off += kChunk) {
+        const size_t len = std::min(kChunk, count - off);
+        const BytesView* in = miss_views.data() + off;
+        uint8_t(*chunk_out)[Digest::kSize] = out + off;
+        ++hotpath::counters().pool_digest_shard_jobs;
+        jobs.push_back(WorkerPool::Global().Submit([in, chunk_out, len] {
+          sha256_multi::DigestMany(in, chunk_out, len);
+        }));
       }
-    }
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      Digest digest(digests[i]);
-      leaf_digests_[leaves[i]] = digest;
-      tree_.SetLeaf(leaves[i], digest);
+      for (const WorkerPool::JobRef& job : jobs) {
+        WorkerPool::Global().Join(job);
+      }
+    } else {
+      sha256_multi::DigestMany(miss_views.data(), out, count);
     }
   } else {
-    for (size_t leaf : dirty_) {
-      Bytes value = leaf == 0 ? protocol_state_
-                              : adapter_->GetObj(ObjectForLeaf(leaf));
-      ChargeDigest(value.size());
-      Digest digest = Digest::Of(value);
-      leaf_digests_[leaf] = digest;
-      tree_.SetLeaf(leaf, digest);
+    for (size_t j = 0; j < miss_views.size(); ++j) {
+      hashed[j] = Digest::Of(miss_views[j]).array();
     }
+  }
+  for (size_t j = 0; j < misses.size(); ++j) {
+    digests[misses[j]] = Digest(hashed[j]);
+    cache.Store(miss_views[j], digests[misses[j]]);
+  }
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    leaf_digests_[leaves[i]] = digests[i];
+    tree_.SetLeaf(leaves[i], digests[i]);
   }
   Digest root = tree_.Root();
   sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *

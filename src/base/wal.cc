@@ -12,10 +12,8 @@ constexpr size_t kMinBodySize = 1 + 8;    // type + seq
 constexpr size_t kMaxBodySize = 1 << 30;  // sanity cap on decoded lengths
 
 uint64_t ChainChecksum(uint64_t prev, BytesView body) {
-  Encoder enc;
-  enc.PutU64(prev);
-  enc.PutFixed(body);
-  Digest digest = Digest::Of(BytesView(enc.data().data(), enc.size()));
+  // SHA-256 over prev (u64, little-endian) followed by the body.
+  Digest digest = Digest::Builder().Add(prev).Add(body).Build();
   uint64_t value = 0;
   for (int i = 0; i < 8; ++i) {
     value |= static_cast<uint64_t>(digest.array()[i]) << (8 * i);

@@ -29,6 +29,7 @@ FsConformanceWrapper::FsConformanceWrapper(Simulation* sim, FsFactory factory,
 void FsConformanceWrapper::RestartClean() {
   fs_ = factory_();
   rep_.assign(options_.array_size, RepEntry());
+  free_hint_ = 0;
   fh_to_index_.clear();
   fileid_to_index_.clear();
   staging_fh_.clear();
@@ -91,12 +92,14 @@ FsConformanceWrapper::RepEntry* FsConformanceWrapper::ResolveOid(
 bool FsConformanceWrapper::AllocIndex(uint32_t* out_index) {
   // Deterministic: lowest free index (part of the common specification's
   // deterministic oid-assignment procedure, paper §3.1).
-  for (uint32_t i = 0; i < rep_.size(); ++i) {
+  for (uint32_t i = free_hint_; i < rep_.size(); ++i) {
     if (!rep_[i].in_use) {
+      free_hint_ = i;
       *out_index = i;
       return true;
     }
   }
+  free_hint_ = static_cast<uint32_t>(rep_.size());
   return false;
 }
 
@@ -145,6 +148,7 @@ void FsConformanceWrapper::FreeEntry(uint32_t index) {
   uint32_t gen = entry.gen;
   entry = RepEntry();
   entry.gen = gen;  // preserved so reuse bumps it (paper §3.1)
+  free_hint_ = std::min(free_hint_, index);
 }
 
 uint32_t FsConformanceWrapper::IndexOfHandle(const Bytes& fh) const {
@@ -959,6 +963,7 @@ void FsConformanceWrapper::PutObjs(const std::vector<ObjectUpdate>& objs) {
       RepEntry fresh;
       fresh.gen = obj.generation;
       rep_[i] = std::move(fresh);
+      free_hint_ = std::min(free_hint_, i);
       continue;
     }
     ForgetHandle(i);

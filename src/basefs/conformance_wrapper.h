@@ -151,6 +151,9 @@ class FsConformanceWrapper : public ServiceAdapter {
   std::unique_ptr<FileSystem> fs_;
 
   std::vector<RepEntry> rep_;
+  // Every index below free_hint_ is in use, so AllocIndex starts its scan
+  // there; FreeEntry and PutObjs lower it when they free an entry.
+  uint32_t free_hint_ = 0;
   std::map<Bytes, uint32_t> fh_to_index_;
   std::map<std::pair<uint64_t, uint64_t>, uint32_t> fileid_to_index_;
   Bytes staging_fh_;

@@ -1,8 +1,6 @@
 #include "src/bft/channel.h"
 
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "src/util/codec.h"
@@ -16,7 +14,10 @@ namespace {
 // The hashed stream is two little-endian u64s followed by the 32-byte payload
 // digest — flattened into one 48-byte buffer (byte-identical to the former
 // Builder chain) so the hash takes the single-compression one-shot path.
-Digest EnvelopeDigest(MsgType type, NodeId sender, BytesView payload) {
+// The payload digest comes from the simulation's content-keyed cache: the
+// sender's Seal and every receiver's Open hash the same payload bytes.
+Digest EnvelopeDigest(DigestCache& cache, MsgType type, NodeId sender,
+                      BytesView payload) {
   uint8_t buf[48];
   uint64_t type_u64 = static_cast<uint64_t>(type);
   uint64_t sender_u64 = static_cast<uint64_t>(sender);
@@ -24,7 +25,7 @@ Digest EnvelopeDigest(MsgType type, NodeId sender, BytesView payload) {
     buf[i] = static_cast<uint8_t>(type_u64 >> (8 * i));
     buf[8 + i] = static_cast<uint8_t>(sender_u64 >> (8 * i));
   }
-  Digest payload_digest = Digest::Of(payload);
+  Digest payload_digest = cache.Of(payload);
   std::memcpy(buf + 16, payload_digest.view().data(), Digest::kSize);
   return Digest::Of(BytesView(buf, sizeof(buf)));
 }
@@ -39,7 +40,7 @@ Bytes Channel::Seal(MsgType type, BytesView payload, AuthKind kind,
                     NodeId to) {
   // Cost: one digest over the payload plus MAC work per authenticated entry.
   sim_->ChargeCpu(sim_->cost().DigestCost(payload.size()));
-  Digest digest = EnvelopeDigest(type, self_, payload);
+  Digest digest = EnvelopeDigest(sim_->digests(), type, self_, payload);
 
   Bytes auth;
   switch (kind) {
@@ -156,27 +157,13 @@ Result<WireMessage> Channel::Open(BytesView wire) {
   }
 
   // Simulated digest cost is charged unconditionally (the protocol's cost
-  // model is unchanged); the memo below only skips *real* SHA-256 work when
-  // this exact delivered buffer was already digested by an earlier receiver
-  // of the same multicast. Keyed by buffer identity, so any envelope whose
-  // bytes differ (fault hooks, re-encodes, stashed copies) recomputes.
+  // model is unchanged); the digest cache only skips *real* SHA-256 work
+  // when these exact payload bytes were hashed before. It is keyed by
+  // content and confirmed byte for byte, so a payload that differs in any
+  // byte (fault hooks, interceptors, tampering) is hashed afresh.
   sim_->ChargeCpu(sim_->cost().DigestCost(msg.payload.size()));
-  Digest digest;
-  const std::shared_ptr<const Bytes>& delivery = sim_->current_delivery();
-  const bool cacheable = delivery != nullptr &&
-                         delivery->data() == wire.data() &&
-                         delivery->size() == wire.size();
-
-  std::optional<Digest> memo =
-      cacheable ? sim_->digest_memo().Lookup(delivery) : std::nullopt;
-  if (memo.has_value()) {
-    digest = *memo;
-  } else {
-    digest = EnvelopeDigest(msg.type, msg.sender, msg.payload);
-    if (cacheable) {
-      sim_->digest_memo().Store(delivery, digest);
-    }
-  }
+  Digest digest =
+      EnvelopeDigest(sim_->digests(), msg.type, msg.sender, msg.payload);
 
   bool valid = false;
   switch (msg.auth) {

@@ -66,9 +66,10 @@ class Channel {
 
   // Parses and authenticates an envelope addressed to this node. Charges
   // verification cost. Rejects unknown senders, bad MACs, bad signatures.
-  // Verification is synchronous and checks only this receiver's MAC; the
-  // envelope digest of a delivered multicast buffer is shared through the
-  // simulation's DeliveryDigestMemo, never the verdict.
+  // Verification is synchronous and checks only this receiver's MAC. The
+  // payload digest comes from the simulation's content-keyed DigestCache
+  // (shared with the sender's Seal and the other receivers); the verdict is
+  // never cached.
   Result<WireMessage> Open(BytesView wire);
 
   // Parses and verifies a *signed* envelope out of band (e.g. a proof buried

@@ -167,7 +167,7 @@ void Client::HandleReply(const ReplyMsg& reply) {
   Pending& p = *pending_;
   NoteReplicaView(reply.replica, reply.view);
 
-  Digest digest = reply.ResultDigest();
+  Digest digest = reply.ResultDigest(sim_->digests());
   if (!reply.result_is_digest) {
     p.full_results[digest] = reply.result;
   }

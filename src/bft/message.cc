@@ -107,12 +107,12 @@ Result<PrePrepareMsg> PrePrepareMsg::Decode(BytesView data) {
   return msg;
 }
 
-Digest PrePrepareMsg::ComputeDigest() const {
+Digest PrePrepareMsg::ComputeDigest(DigestCache& cache) const {
   Digest::Builder builder;
   builder.Add(BytesView(nondet));
   builder.Add(static_cast<uint64_t>(requests.size()));
   for (const Bytes& r : requests) {
-    builder.Add(Digest::Of(r));
+    builder.Add(cache.Of(r));
   }
   return builder.Build();
 }

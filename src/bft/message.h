@@ -24,6 +24,7 @@
 
 #include "src/bft/config.h"
 #include "src/crypto/digest.h"
+#include "src/crypto/digest_cache.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 
@@ -67,8 +68,9 @@ struct PrePrepareMsg {
   Bytes Encode() const;
   static Result<PrePrepareMsg> Decode(BytesView data);
   // The batch digest d in (v, n, d): covers nondet and all requests (not the
-  // view/seq, which identify the slot, not the content).
-  Digest ComputeDigest() const;
+  // view/seq, which identify the slot, not the content). The per-request
+  // digests go through `cache`.
+  Digest ComputeDigest(DigestCache& cache) const;
 };
 
 struct PrepareMsg {
@@ -106,9 +108,10 @@ struct ReplyMsg {
 
   Bytes Encode() const;
   static Result<ReplyMsg> Decode(BytesView data);
-  // Digest of the actual result, used by clients to match replies.
-  Digest ResultDigest() const {
-    return result_is_digest ? Digest::FromBytes(result) : Digest::Of(result);
+  // Digest of the actual result, used by clients to match replies. A full
+  // result is hashed through `cache`.
+  Digest ResultDigest(DigestCache& cache) const {
+    return result_is_digest ? Digest::FromBytes(result) : cache.Of(result);
   }
 };
 

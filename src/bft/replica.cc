@@ -75,7 +75,7 @@ void Replica::OnNullRequestTimer() {
     Bytes wire = channel_.SealSigned(MsgType::kPrePrepare, pp.Encode());
     LogEntry& entry = log_.Get(pp.seq);
     entry.view = view_;
-    entry.digest = pp.ComputeDigest();
+    entry.digest = pp.ComputeDigest(sim_->digests());
     entry.pre_prepare = std::move(pp);
     entry.pre_prepare_wire = wire;
     channel_.MulticastReplicas(wire, /*include_self=*/false);
@@ -265,7 +265,7 @@ void Replica::MaybeSendPrePrepare() {
     entry.pre_prepare = pp;
     entry.pre_prepare_wire = wire;
     entry.view = view_;
-    entry.digest = pp.ComputeDigest();
+    entry.digest = pp.ComputeDigest(sim_->digests());
 
     if (equivocate_) {
       // Byzantine primary: send a conflicting batch (different nondet) to a
@@ -380,7 +380,7 @@ void Replica::HandlePrePrepare(const WireMessage& msg, const Bytes& wire) {
     return;
   }
 
-  Digest digest = pp->ComputeDigest();
+  Digest digest = pp->ComputeDigest(sim_->digests());
   LogEntry& entry = log_.Get(pp->seq);
   if (entry.pre_prepare.has_value() && entry.view == pp->view) {
     if (entry.digest != digest) {
@@ -743,7 +743,7 @@ void Replica::SendReply(const RequestMsg& request, Bytes result,
   } else {
     ReplyMsg digest_reply = reply;
     digest_reply.result_is_digest = true;
-    digest_reply.result = Digest::Of(result).ToBytes();
+    digest_reply.result = sim_->digests().Of(result).ToBytes();
     channel_.Send(request.client,
                   channel_.SealMac(MsgType::kReply, digest_reply.Encode(),
                                    request.client));
@@ -1210,7 +1210,7 @@ void Replica::RestartFromStorage() {
     }
     LogEntry& entry = log_.Get(seq);
     entry.view = pp->view;
-    entry.digest = pp->ComputeDigest();
+    entry.digest = pp->ComputeDigest(sim_->digests());
     entry.pre_prepare_wire = pp_wire;
     entry.pre_prepare = std::move(*pp);
     entry.prepare_pool.clear();

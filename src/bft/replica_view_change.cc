@@ -156,7 +156,7 @@ Result<ViewChangeMsg> Replica::ValidateViewChange(const WireMessage& msg) {
                               std::to_string(vc->stable_seq) + " from replica " +
                               std::to_string(vc->replica));
     }
-    Digest digest = pp->ComputeDigest();
+    Digest digest = pp->ComputeDigest(sim_->digests());
     std::set<NodeId> signers;
     for (const Bytes& p_wire : proof.prepare_wires) {
       auto p_env = channel_.OpenDetached(p_wire);
@@ -368,7 +368,7 @@ void Replica::HandleNewView(const WireMessage& msg) {
   }
   std::map<SeqNum, Digest> expected;
   for (const auto& [seq, pp] : plan->pre_prepares) {
-    expected[seq] = pp.ComputeDigest();
+    expected[seq] = pp.ComputeDigest(sim_->digests());
   }
   std::map<SeqNum, Digest> offered;
   for (const Bytes& pp_wire : nv->pre_prepares) {
@@ -382,7 +382,7 @@ void Replica::HandleNewView(const WireMessage& msg) {
     if (!pp.ok() || pp->view != nv->view) {
       return;
     }
-    offered[pp->seq] = pp->ComputeDigest();
+    offered[pp->seq] = pp->ComputeDigest(sim_->digests());
   }
   if (offered != expected) {
     LOG_WARN << "replica " << id_ << " rejects NEW-VIEW for view " << nv->view
@@ -434,7 +434,7 @@ void Replica::EnterNewView(ViewNum target_view, const NewViewPlan& plan,
     SeqNum seq = pp->seq;
     LogEntry& entry = log_.Get(seq);
     entry.view = target_view;
-    entry.digest = pp->ComputeDigest();
+    entry.digest = pp->ComputeDigest(sim_->digests());
     entry.pre_prepare = std::move(*pp);
     entry.pre_prepare_wire = pp_wire;
     entry.executed = seq <= last_executed_;

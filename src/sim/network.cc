@@ -301,9 +301,9 @@ void Network::Multicast(NodeId from, NodeId first, NodeId last,
         continue;
       }
       if (copy == payload) {
-        // Untouched: fold back onto the shared buffer so downstream
-        // identity-keyed caches still see one buffer. The private copy
-        // doubles as the shared buffer if none exists yet.
+        // Untouched: fold back onto the shared buffer so the untouched
+        // recipients still alias one buffer and the copy is freed. The
+        // private copy doubles as the shared buffer if none exists yet.
         if (shared == nullptr) {
           shared = MakePooledShared(std::move(copy));
         }

@@ -127,9 +127,9 @@ void Simulation::RunDelivery(NodeId to, NodeId from, int tag,
   }
   trace_.Record(TraceEvent::kMsgDeliver, now_, from, to, payload->size(),
                 static_cast<uint64_t>(tag));
-  // Expose the shared buffer to the handler so the receive path can key
-  // caches by buffer identity. Saved/restored because OnMessage may replay
-  // stashed wires through nested OnMessage calls.
+  // Expose the shared buffer to the handler (current_delivery()). Saved and
+  // restored because OnMessage may replay stashed wires through nested
+  // OnMessage calls.
   std::shared_ptr<const Bytes> prev = std::move(current_delivery_);
   current_delivery_ = std::move(payload);
   node->OnMessage(from, *current_delivery_);

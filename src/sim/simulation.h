@@ -37,8 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/crypto/digest_cache.h"
 #include "src/sim/cost_model.h"
-#include "src/sim/digest_memo.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/sim/trace.h"
@@ -176,14 +176,14 @@ class Simulation {
                         std::shared_ptr<const Bytes> payload, int tag = -1);
 
   // The shared buffer of the message delivery currently being handled, or
-  // null outside OnMessage. Lets receive-side code (Channel::Open) key caches
-  // by buffer identity without changing the SimNode::OnMessage signature.
+  // null outside OnMessage. Tests use it to observe zero-copy aliasing.
   const std::shared_ptr<const Bytes>& current_delivery() const {
     return current_delivery_;
   }
 
-  // Envelope digests memoized per delivered buffer (see digest_memo.h).
-  DeliveryDigestMemo& digest_memo() { return digest_memo_; }
+  // SHA-256 digests of byte strings this simulation has already hashed,
+  // shared by every node in it (see src/crypto/digest_cache.h).
+  DigestCache& digests() { return digests_; }
 
  private:
   // Legacy kernel: the pre-overhaul event representation, kept verbatim so
@@ -276,7 +276,7 @@ class Simulation {
   EventTrace trace_;
   Network* network_;
   std::shared_ptr<const Bytes> current_delivery_;
-  DeliveryDigestMemo digest_memo_;
+  DigestCache digests_;
 };
 
 }  // namespace bftbase

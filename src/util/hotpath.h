@@ -7,7 +7,7 @@
 // MetricsRegistry; SyncHotPathCounters (src/sim/metrics.h) copies them into a
 // registry so benches can snapshot/diff them per phase.
 //
-// SetCachesEnabled(false) turns off every result cache (digest memo, HMAC
+// SetCachesEnabled(false) turns off every result cache (digest cache, HMAC
 // midstates, session-key reuse) while keeping behaviour byte-identical; the
 // wall-clock bench uses it to measure honest before/after numbers in one
 // binary.
@@ -39,7 +39,9 @@ struct Counters {
   // Encode-buffer pool (src/util/bufpool.cc).
   uint64_t encode_allocs = 0;  // pool misses: a fresh heap buffer was made
   uint64_t encode_reuses = 0;  // pool hits: capacity recycled from the pool
-  // Delivered-envelope digest memo (src/sim/digest_memo.cc).
+  // Content-keyed digest cache (src/crypto/digest_cache.cc): lookups of
+  // inputs of at least DigestCache::kMinBytes that were served from a
+  // stored copy, and those that were hashed. Shorter inputs bypass it.
   uint64_t digest_memo_hits = 0;
   uint64_t digest_memo_misses = 0;
   // Event kernel (src/sim/simulation.cc, scale kernel only).

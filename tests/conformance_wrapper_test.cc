@@ -66,6 +66,39 @@ TEST_P(WrapperTest, OidAllocationIsLowestFreeIndex) {
   EXPECT_NE(c.oid, a.oid);  // distinct object identity
 }
 
+TEST_P(WrapperTest, FreedMiddleIndexIsAllocatedNext) {
+  // Allocation stays lowest-free when a middle entry is freed after higher
+  // ones were taken, and again after a recovery restore (RestartClean, then
+  // PutObjs of a checkpoint) frees entries in the middle.
+  for (const char* name : {"a", "b", "c", "d"}) {
+    ASSERT_EQ(Create(kRootOid, name).stat, NfsStat::kOk);
+  }
+  ASSERT_EQ(Remove(kRootOid, "b").stat, NfsStat::kOk);  // frees index 2
+  NfsReply e = Create(kRootOid, "e");
+  ASSERT_EQ(e.stat, NfsStat::kOk);
+  EXPECT_EQ(OidIndex(e.oid), 2u);
+  EXPECT_EQ(OidIndex(Create(kRootOid, "f").oid), 5u);
+
+  // Checkpoint value: indices 0..5 in use except 3 ("c" removed).
+  ASSERT_EQ(Remove(kRootOid, "c").stat, NfsStat::kOk);
+  std::vector<ObjectUpdate> checkpoint;
+  for (size_t i = 0; i < wrapper_->ObjectCount(); ++i) {
+    checkpoint.push_back({i, wrapper_->GetObj(i)});
+  }
+  // Diverge past the checkpoint (index 3, then 6, are taken), then recover.
+  EXPECT_EQ(OidIndex(Create(kRootOid, "g").oid), 3u);
+  EXPECT_EQ(OidIndex(Create(kRootOid, "h").oid), 6u);
+  wrapper_->RestartClean();
+  wrapper_->PutObjs(checkpoint);
+  EXPECT_EQ(OidIndex(Create(kRootOid, "i").oid), 3u);
+  EXPECT_EQ(OidIndex(Create(kRootOid, "j").oid), 6u);
+
+  // Restoring the checkpoint onto the live state (no RestartClean) frees
+  // 3 and 6 again.
+  wrapper_->PutObjs(checkpoint);
+  EXPECT_EQ(OidIndex(Create(kRootOid, "k").oid), 3u);
+}
+
 TEST_P(WrapperTest, StaleOidsRejected) {
   NfsReply a = Create(kRootOid, "gone");
   ASSERT_EQ(Remove(kRootOid, "gone").stat, NfsStat::kOk);

@@ -1,11 +1,11 @@
 // Unit tests for BFT message encodings and the authenticated channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/bft/channel.h"
 #include "src/bft/message.h"
-#include "src/sim/digest_memo.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
 #include "src/util/hotpath.h"
@@ -39,14 +39,15 @@ TEST(Message, PrePrepareRoundTripAndDigest) {
   EXPECT_EQ(decoded->view, 3u);
   EXPECT_EQ(decoded->seq, 17u);
   EXPECT_EQ(decoded->requests.size(), 2u);
-  EXPECT_EQ(decoded->ComputeDigest(), msg.ComputeDigest());
+  DigestCache cache;
+  EXPECT_EQ(decoded->ComputeDigest(cache), msg.ComputeDigest(cache));
 
   // The digest covers content, not the slot.
   PrePrepareMsg other = msg;
   other.seq = 18;
-  EXPECT_EQ(other.ComputeDigest(), msg.ComputeDigest());
+  EXPECT_EQ(other.ComputeDigest(cache), msg.ComputeDigest(cache));
   other.nondet = ToBytes("different");
-  EXPECT_NE(other.ComputeDigest(), msg.ComputeDigest());
+  EXPECT_NE(other.ComputeDigest(cache), msg.ComputeDigest(cache));
 }
 
 TEST(Message, PrepareCommitRoundTrip) {
@@ -77,17 +78,18 @@ TEST(Message, ReplyRoundTripDigestForm) {
   reply.client = 6;
   reply.replica = 1;
   reply.result = ToBytes("result");
-  Digest full_digest = reply.ResultDigest();
+  DigestCache cache;
+  Digest full_digest = reply.ResultDigest(cache);
 
   ReplyMsg digest_form = reply;
   digest_form.result_is_digest = true;
   digest_form.result = Digest::Of(ToBytes("result")).ToBytes();
-  EXPECT_EQ(digest_form.ResultDigest(), full_digest);
+  EXPECT_EQ(digest_form.ResultDigest(cache), full_digest);
 
   auto decoded = ReplyMsg::Decode(digest_form.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->result_is_digest);
-  EXPECT_EQ(decoded->ResultDigest(), full_digest);
+  EXPECT_EQ(decoded->ResultDigest(cache), full_digest);
 }
 
 TEST(Message, ViewChangeRoundTrip) {
@@ -214,7 +216,7 @@ TEST_F(ChannelTest, KeyRefreshInvalidatesOldMacsNotSignatures) {
 }
 
 // Sim node that opens every incoming wire through a channel, so Open() runs
-// inside a network delivery and the envelope-digest memo is in play.
+// inside a network delivery.
 class OpeningNode : public SimNode {
  public:
   explicit OpeningNode(Channel* channel) : channel_(channel) {}
@@ -227,13 +229,33 @@ class OpeningNode : public SimNode {
   Channel* channel_;
 };
 
+// A payload long enough to go through the simulation's digest cache.
+Bytes CacheablePayload(uint8_t fill, size_t size = 1024) {
+  Bytes payload(size, fill);
+  for (size_t i = 0; i < size; i += 7) {
+    payload[i] = static_cast<uint8_t>(i);
+  }
+  return payload;
+}
+
+struct MemoDelta {
+  uint64_t hits;
+  uint64_t misses;
+};
+
+MemoDelta MemoSince(const hotpath::Counters& before) {
+  const hotpath::Counters& after = hotpath::counters();
+  return {after.digest_memo_hits - before.digest_memo_hits,
+          after.digest_memo_misses - before.digest_memo_misses};
+}
+
 TEST_F(ChannelTest, DigestMemoServesSharedMulticastBuffer) {
   Channel carol(&sim_, &keys_, config_, 2);
   OpeningNode bob_node(&bob_);
   OpeningNode carol_node(&carol);
   sim_.AddNode(1, &bob_node);
   sim_.AddNode(2, &carol_node);
-  Bytes wire = alice_.SealSigned(MsgType::kPrePrepare, ToBytes("shared"));
+  Bytes wire = alice_.SealSigned(MsgType::kPrePrepare, CacheablePayload(1));
   const hotpath::Counters before = hotpath::counters();
   sim_.After(0, 0, [&] { sim_.network().Multicast(0, 1, 3, wire); });
   sim_.RunUntilIdle();
@@ -241,11 +263,57 @@ TEST_F(ChannelTest, DigestMemoServesSharedMulticastBuffer) {
   ASSERT_EQ(carol_node.oks.size(), 1u);
   EXPECT_TRUE(bob_node.oks[0]);
   EXPECT_TRUE(carol_node.oks[0]);
-  // Both recipients received the same shared buffer: the first Open computed
-  // the envelope digest (miss + store), the second reused it (hit).
-  const hotpath::Counters& after = hotpath::counters();
-  EXPECT_EQ(after.digest_memo_hits - before.digest_memo_hits, 1u);
-  EXPECT_GE(after.digest_memo_misses - before.digest_memo_misses, 1u);
+  // Seal stored the payload digest; both recipients' Opens are served from
+  // it without hashing the payload again.
+  const MemoDelta delta = MemoSince(before);
+  EXPECT_EQ(delta.hits, 2u);
+  EXPECT_EQ(delta.misses, 0u);
+}
+
+TEST_F(ChannelTest, ClientSealServesPrimaryOpenOfUnicastRequest) {
+  // The request a client seals reaches the primary in a buffer of its own
+  // (a unicast, no shared multicast buffer): the primary's Open still finds
+  // the payload digest by content and hashes only the 48-byte envelope.
+  OpeningNode bob_node(&bob_);
+  sim_.AddNode(1, &bob_node);
+  const Bytes payload = CacheablePayload(2, 4096);
+  Bytes wire = client_.SealAuthenticated(MsgType::kRequest, payload);
+  const hotpath::Counters before = hotpath::counters();
+  sim_.After(0, 0, [&] {
+    sim_.network().Send(config_.ClientId(0), 1, wire);
+  });
+  sim_.RunUntilIdle();
+  ASSERT_EQ(bob_node.oks.size(), 1u);
+  EXPECT_TRUE(bob_node.oks[0]);
+  const MemoDelta delta = MemoSince(before);
+  EXPECT_EQ(delta.hits, 1u);
+  EXPECT_EQ(delta.misses, 0u);
+  EXPECT_LT(hotpath::counters().bytes_hashed - before.bytes_hashed,
+            payload.size());
+}
+
+TEST_F(ChannelTest, RewrittenBufferIsHashedAfresh) {
+  // The cache is keyed by content, never by address: the same buffer
+  // rewritten in place with another envelope must not be served the first
+  // envelope's digest.
+  Bytes wire = alice_.SealSigned(MsgType::kPrepare, CacheablePayload(3));
+  ASSERT_TRUE(bob_.Open(wire).ok());
+  // Sealed in another simulation, so this one's cache has never seen it.
+  Simulation other_sim(2);
+  Channel other_alice(&other_sim, &keys_, config_, 0);
+  const Bytes other =
+      other_alice.SealSigned(MsgType::kPrepare, CacheablePayload(4));
+  ASSERT_EQ(other.size(), wire.size());
+  const uint8_t* address = wire.data();
+  std::copy(other.begin(), other.end(), wire.begin());
+  ASSERT_EQ(wire.data(), address);
+  const hotpath::Counters before = hotpath::counters();
+  auto opened = bob_.Open(wire);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(opened->payload, CacheablePayload(4));
+  const MemoDelta delta = MemoSince(before);
+  EXPECT_EQ(delta.hits, 0u);
+  EXPECT_EQ(delta.misses, 1u);
 }
 
 TEST_F(ChannelTest, DigestMemoDoesNotCacheAuthValidity) {
@@ -310,6 +378,35 @@ TEST_F(ChannelTest, InterceptorMutatedCopyRejectedOthersUnaffected) {
   EXPECT_FALSE(carol_node.oks[0]);
 }
 
+TEST_F(ChannelTest, InterceptorMutatedPayloadMissesCacheAndIsRejected) {
+  // Same as above with a payload the digest cache holds: carol's copy has a
+  // flipped payload byte, so its content lookup must miss (never serve the
+  // honest payload's digest) and her Open must reject; bob's untouched copy
+  // is served from the cache and verifies.
+  Channel carol(&sim_, &keys_, config_, 2);
+  OpeningNode bob_node(&bob_);
+  OpeningNode carol_node(&carol);
+  sim_.AddNode(1, &bob_node);
+  sim_.AddNode(2, &carol_node);
+  sim_.network().SetInterceptor([](NodeId, NodeId to, Bytes& payload) {
+    if (to == 2 && !payload.empty()) {
+      payload[payload.size() / 2] ^= 0x01;  // inside the payload region
+    }
+    return true;
+  });
+  Bytes wire = alice_.SealSigned(MsgType::kPrepare, CacheablePayload(6));
+  const hotpath::Counters before = hotpath::counters();
+  sim_.After(0, 0, [&] { sim_.network().Multicast(0, 1, 3, wire); });
+  sim_.RunUntilIdle();
+  ASSERT_EQ(bob_node.oks.size(), 1u);
+  ASSERT_EQ(carol_node.oks.size(), 1u);
+  EXPECT_TRUE(bob_node.oks[0]);
+  EXPECT_FALSE(carol_node.oks[0]);
+  const MemoDelta delta = MemoSince(before);
+  EXPECT_EQ(delta.hits, 1u);
+  EXPECT_EQ(delta.misses, 1u);
+}
+
 TEST_F(ChannelTest, UnicastAuthenticatorCostsOneReceiversVerify) {
   // A client request goes to the primary alone: its delivery must verify
   // only the receiver's own MAC, not precompute all n authenticator lanes.
@@ -359,33 +456,6 @@ TEST_F(ChannelTest, MacSealedBeforeKeyRefreshRejectedAtDelivery) {
   ASSERT_EQ(bob_node.oks.size(), 4u);
   EXPECT_TRUE(bob_node.oks[2]);
   EXPECT_TRUE(bob_node.oks[3]);
-}
-
-TEST(DeliveryDigestMemo, StaleAddressDoesNotServeOldDigest) {
-  // The memo is keyed by buffer address; a freed buffer's address can be
-  // reused by a later allocation. The weak_ptr identity check must treat the
-  // reused address as a miss, never serving the old digest.
-  DeliveryDigestMemo memo;
-  Bytes storage = ToBytes("payload bytes");
-  auto no_op = [](const Bytes*) {};
-  std::shared_ptr<const Bytes> first(&storage, no_op);
-  memo.Store(first, Digest::Of(ToBytes("old digest input")));
-  ASSERT_TRUE(memo.Lookup(first).has_value());
-  first.reset();  // "free" the buffer; the address is about to be reused
-  std::shared_ptr<const Bytes> second(&storage, no_op);
-  EXPECT_FALSE(memo.Lookup(second).has_value());
-}
-
-TEST(DeliveryDigestMemo, DisabledHotPathCachesAlwaysMiss) {
-  // With hotpath caches off (the bench's "before" profile) the memo must be
-  // inert: Store is a no-op and Lookup always misses.
-  DeliveryDigestMemo memo;
-  auto buf = std::make_shared<const Bytes>(ToBytes("buf"));
-  hotpath::SetCachesEnabled(false);
-  memo.Store(buf, Digest::Of(ToBytes("d")));
-  EXPECT_FALSE(memo.Lookup(buf).has_value());
-  hotpath::SetCachesEnabled(true);
-  EXPECT_EQ(memo.size(), 0u);
 }
 
 }  // namespace
