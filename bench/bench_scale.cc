@@ -1,37 +1,12 @@
 // Large-group scale benchmark for the event kernel (BENCH_scale.json).
 //
-// Three parts. First, a kill-switch before/after pair in the style of
-// bench_wallclock's SetCachesEnabled runs: an f=1-group, single-client
-// message/timer flood — full Network fabric (multicast, fault checks, cost
-// model, CPU serialization, retransmission-style timer arm/cancel churn) with
-// protocol-free handlers — executed once under the legacy kernel
-// (hotpath::SetScaleKernelEnabled(false) — per-event std::function
-// allocation, priority_queue copies on pop and requeue, std::map node tables,
-// string-keyed metric updates) and once under the scale-out kernel (pooled
-// move-only events, 4-ary heap of PODs, generation-checked cancellation,
-// dense tables, pre-resolved counter handles). Both runs execute the
-// identical event sequence, so the events/sec ratio isolates exactly what the
-// kernel costs per event. The flood is the right measurement instrument
-// because the replicated protocol itself is crypto-bound: gprof on the f=1 KV
-// workload attributes ~85% of cycles to SHA-256 (checkpoint partition-tree
-// hashing), so no kernel could move that end-to-end number much — which is
-// the point of the overhaul: harness overhead should disappear under protocol
-// work.
+// First, a sweep over group size n ∈ {4, 7, 10, 13, 25} × concurrent
+// clients ∈ {1, 16, 64, 256}, reporting sim events/sec, wall-clock
+// requests/sec, peak scheduler queue depth and the event-pool reuse rate.
+// This is the scaling surface the paper's testbed could not reach (their
+// experiments stop at n = 4).
 //
-// Second, the same kill-switch pair on the real f=1 single-client KV protocol
-// workload, so the artifact shows the honest end-to-end effect next to the
-// isolated kernel effect. Re-measured with the SHA-NI crypto kernel enabled
-// (which shrank the SHA-256 share that used to dominate this workload): the
-// end-to-end kernel gain holds at ~1.17x, so full runs gate it at a lenient
-// ≥1.05x floor (smoke runs only report it — short sanitizer runs are noisy).
-//
-// Third, a sweep over group size n ∈ {4, 7, 10, 13, 25} × concurrent
-// clients ∈ {1, 16, 64, 256} under the scale kernel, reporting sim
-// events/sec, wall-clock requests/sec, peak scheduler queue depth and the
-// event-pool reuse rate. This is the scaling surface the paper's testbed
-// could not reach (their experiments stop at n = 4).
-//
-// Fourth, the sharded scale-OUT sweep: S independent f=1 BASE groups behind
+// Second, the sharded scale-OUT sweep: S independent f=1 BASE groups behind
 // the key→shard router (src/shard/), driven by the closed-loop zipfian keyed
 // KV workload, over shards ∈ {1, 2, 4, 8} × router clients. Reported per
 // cell: aggregate committed ops/sec on the SIMULATED clock (the scaling
@@ -44,10 +19,8 @@
 //   --smoke  shrink request counts and the sweep grid (CI's ctest target)
 //   --json   where to write the JSON artifact (default: BENCH_scale.json)
 //
-// Exits nonzero if any run fails to complete, the scale kernel does not
-// beat the legacy kernel on flood events/sec (≥2.0x full, ≥1.2x smoke — the
-// smoke bar is lenient because short sanitizer runs are noisy), or the
-// sharded sweep misses its scaling floor (≥3.0x full, ≥2.0x smoke).
+// Exits nonzero if any run fails to complete or the sharded sweep misses its
+// scaling floor (≥3.0x full, ≥2.0x smoke).
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -104,131 +77,9 @@ struct ScaleStats {
   }
 };
 
-// --- Kernel flood: the measurement instrument for the kill-switch pair ----
-//
-// An f=1-sized group (n = 4) plus one client, speaking a protocol-shaped
-// but crypto-free exchange: client sends a 1 KiB request to the primary,
-// the primary multicasts it to the backups, each backup acks the client
-// directly; every replica handler charges CPU (so deliveries defer behind
-// busy nodes and requeue) and re-arms a retransmission-style timer,
-// cancelling the previous one (so the cancel/prune path and the slot free
-// list churn exactly like PBFT's per-request view-change timers do).
-
-constexpr int kFloodGroup = 4;              // 3f+1 with f = 1
-constexpr NodeId kFloodClient = kFloodGroup;
-constexpr SimTime kFloodCpuUs = 10;         // stand-in for handler work
-constexpr SimTime kFloodTimerUs = 1000;     // retransmission-style timer
-
-class FloodReplica : public SimNode {
- public:
-  FloodReplica(Simulation* sim, NodeId id) : sim_(sim), id_(id) {}
-
-  void OnMessage(NodeId from, const Bytes& payload) override {
-    sim_->ChargeCpu(kFloodCpuUs);
-    if (id_ == 0 && from == kFloodClient) {
-      // Primary: relay the request to every backup (one shared buffer).
-      sim_->network().Multicast(0, 1, kFloodGroup, payload);
-      RearmTimer();
-    } else if (from == 0) {
-      // Backup: ack straight to the client.
-      Bytes ack(64, static_cast<uint8_t>(0x20 + id_));
-      sim_->network().Send(id_, kFloodClient, std::move(ack));
-      RearmTimer();
-    }
-  }
-
- private:
-  void RearmTimer() {
-    if (timer_ != 0) {
-      sim_->Cancel(timer_);
-    }
-    timer_ = sim_->After(id_, kFloodTimerUs, [] {});
-  }
-
-  Simulation* sim_;
-  NodeId id_;
-  TimerId timer_ = 0;
-};
-
-class FloodClient : public SimNode {
- public:
-  FloodClient(Simulation* sim, uint64_t rounds)
-      : sim_(sim), remaining_(rounds), request_(1024, 0xab) {}
-
-  void Start() { IssueNext(); }
-  bool Done() const { return done_; }
-  uint64_t completed() const { return completed_; }
-
-  void OnMessage(NodeId, const Bytes&) override {
-    sim_->ChargeCpu(kFloodCpuUs);
-    if (++acks_ >= kFloodGroup - 1) {
-      acks_ = 0;
-      ++completed_;
-      IssueNext();
-    }
-  }
-
- private:
-  void IssueNext() {
-    if (remaining_ == 0) {
-      done_ = true;
-      return;
-    }
-    --remaining_;
-    Bytes req(request_);
-    sim_->network().Send(kFloodClient, 0, std::move(req));
-  }
-
-  Simulation* sim_;
-  uint64_t remaining_;
-  int acks_ = 0;
-  uint64_t completed_ = 0;
-  bool done_ = false;
-  Bytes request_;
-};
-
-ScaleStats RunKernelFlood(uint64_t rounds, uint64_t seed, bool scale_kernel) {
-  hotpath::SetScaleKernelEnabled(scale_kernel);
-  const hotpath::Counters before = hotpath::counters();
-
-  Simulation sim(seed);
-  std::vector<std::unique_ptr<FloodReplica>> replicas;
-  for (NodeId id = 0; id < kFloodGroup; ++id) {
-    replicas.push_back(std::make_unique<FloodReplica>(&sim, id));
-    sim.AddNode(id, replicas.back().get());
-  }
-  FloodClient client(&sim, rounds);
-  sim.AddNode(kFloodClient, &client);
-
-  auto start = std::chrono::steady_clock::now();
-  client.Start();
-  bool finished = sim.RunUntilTrue([&] { return client.Done(); },
-                                   static_cast<SimTime>(rounds) * kSecond);
-  sim.RunUntilIdle();  // drain the uncancelled tail timers
-  auto stop = std::chrono::steady_clock::now();
-
-  hotpath::SetScaleKernelEnabled(true);  // restore the process default
-
-  ScaleStats s;
-  s.ok = finished && client.completed() == rounds;
-  s.wall_sec = std::chrono::duration<double>(stop - start).count();
-  s.requests = client.completed();
-  s.sim_events = sim.events_processed();
-  s.sim_elapsed = sim.Now();
-  s.peak_queue_depth = sim.peak_queue_depth();
-  const hotpath::Counters& after = hotpath::counters();
-  s.pool_allocs = after.event_pool_allocs - before.event_pool_allocs;
-  s.pool_reuses = after.event_pool_reuses - before.event_pool_reuses;
-  s.events_requeued = after.events_requeued - before.events_requeued;
-  s.events_pruned = after.events_pruned - before.events_pruned;
-  s.messages_delivered = sim.network().messages_delivered();
-  return s;
-}
-
 // The bench_wallclock closed-loop KV workload: each client keeps one Set in
 // flight until its quota is done.
-ScaleStats RunOnce(const ScaleConfig& cfg, bool scale_kernel) {
-  hotpath::SetScaleKernelEnabled(scale_kernel);
+ScaleStats RunOnce(const ScaleConfig& cfg) {
   const hotpath::Counters before = hotpath::counters();
 
   ServiceGroup::Params params;
@@ -271,8 +122,6 @@ ScaleStats RunOnce(const ScaleConfig& cfg, bool scale_kernel) {
       static_cast<SimTime>(total) * kSecond);
   auto stop = std::chrono::steady_clock::now();
 
-  hotpath::SetScaleKernelEnabled(true);  // restore the process default
-
   ScaleStats s;
   s.ok = finished;
   s.wall_sec = std::chrono::duration<double>(stop - start).count();
@@ -314,25 +163,7 @@ std::string FormatRate(double v) {
   return buf;
 }
 
-void EmitPairRows(Table& table, const char* label, const ScaleStats& legacy,
-                  const ScaleStats& fast) {
-  table.AddRow({label, "legacy", FormatRate(legacy.RequestsPerSec()),
-                FormatRate(legacy.EventsPerSec()),
-                FormatCount(legacy.sim_events),
-                FormatCount(legacy.peak_queue_depth), "-"});
-  table.AddRow({label, "scale", FormatRate(fast.RequestsPerSec()),
-                FormatRate(fast.EventsPerSec()), FormatCount(fast.sim_events),
-                FormatCount(fast.peak_queue_depth),
-                FormatPercent(fast.PoolReuseRate())});
-}
-
-double Ratio(const ScaleStats& legacy, const ScaleStats& fast) {
-  return legacy.EventsPerSec() > 0
-             ? fast.EventsPerSec() / legacy.EventsPerSec()
-             : 0;
-}
-
-// --- Sharded keyed sweep (Part 3) ----------------------------------------
+// --- Sharded keyed sweep (Part 2) ----------------------------------------
 
 struct ShardCell {
   int shards = 1;
@@ -423,8 +254,7 @@ int main(int argc, char** argv) {
   WorkerPool::Global().SetThreads(pool_threads > 0 ? pool_threads : 0);
 
   PrintHeader(smoke ? "Event-kernel scale bench (smoke config)"
-                    : "Event-kernel scale bench: pooled events + O(1) "
-                      "scheduling vs legacy kernel");
+                    : "Event-kernel scale bench: group-size and shard sweeps");
 
   JsonWriter json;
   json.BeginObject();
@@ -433,103 +263,7 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
 
-  // --- Part 1: kill-switch before/after, f=1 single-client kernel flood ----
-  const uint64_t flood_rounds = smoke ? 3000 : 30000;
-  const uint64_t flood_seed = 7100;
-  // Untimed warmups so the process-global buffer pool and the allocator are
-  // equally warm for both timed runs.
-  RunKernelFlood(flood_rounds / 10, flood_seed, /*scale_kernel=*/false);
-  RunKernelFlood(flood_rounds / 10, flood_seed, /*scale_kernel=*/true);
-  ScaleStats flood_legacy =
-      RunKernelFlood(flood_rounds, flood_seed, /*scale_kernel=*/false);
-  ScaleStats flood_fast =
-      RunKernelFlood(flood_rounds, flood_seed, /*scale_kernel=*/true);
-  all_ok = all_ok && flood_legacy.ok && flood_fast.ok;
-  const double kernel_ratio = Ratio(flood_legacy, flood_fast);
-  // Identical event sequences (witness-tested), so differing event counts
-  // mean the comparison itself is broken.
-  const bool same_events = flood_legacy.sim_events == flood_fast.sim_events;
-  const double ratio_floor = smoke ? 1.2 : 2.0;
-  const bool ratio_met = kernel_ratio >= ratio_floor && same_events;
-
-  // --- Part 1b: the same pair on the real KV protocol (reported only) ------
-  ScaleConfig pair_cfg;
-  pair_cfg.f = 1;
-  pair_cfg.clients = 1;
-  pair_cfg.requests_per_client = smoke ? 60 : 600;
-  pair_cfg.seed = 7101;
-  ScaleStats proto_legacy = RunOnce(pair_cfg, /*scale_kernel=*/false);
-  ScaleStats proto_fast = RunOnce(pair_cfg, /*scale_kernel=*/true);
-  all_ok = all_ok && proto_legacy.ok && proto_fast.ok;
-  const double protocol_ratio = Ratio(proto_legacy, proto_fast);
-  // Gated on full runs only: the protocol pair is a wall-clock ratio and
-  // short sanitizer runs jitter too much to hold a floor.
-  const double protocol_floor = 1.05;
-  const bool protocol_ratio_met = smoke || protocol_ratio >= protocol_floor;
-
-  Table pair_table({"workload", "kernel", "req/s", "sim ev/s", "events",
-                    "peak queue", "pool reuse"});
-  EmitPairRows(pair_table, "flood", flood_legacy, flood_fast);
-  EmitPairRows(pair_table, "kv", proto_legacy, proto_fast);
-  pair_table.Print();
-  std::printf("kernel events/sec ratio (flood, gated): %.2fx (floor %.2fx)\n",
-              kernel_ratio, ratio_floor);
-  std::printf("kernel events/sec ratio (kv protocol):  %.2fx "
-              "(crypto/protocol-bound with the SHA-NI crypto kernel on; "
-              "full-run floor %.2fx)\n",
-              protocol_ratio, protocol_floor);
-
-  json.Key("kernel_comparison");
-  json.BeginObject();
-  json.Field("workload", "kernel_flood");
-  json.Key("params");
-  json.BeginObject();
-  json.Field("f", 1);
-  json.Field("n", kFloodGroup);
-  json.Field("clients", 1);
-  json.Field("rounds", flood_rounds);
-  json.Field("seed", flood_seed);
-  json.EndObject();
-  json.Key("legacy");
-  EmitRunJson(json, flood_legacy);
-  json.Key("scale");
-  EmitRunJson(json, flood_fast);
-  json.Field("events_per_sec_ratio", kernel_ratio);
-  json.Field("identical_event_counts", same_events);
-  json.Field("ratio_floor", ratio_floor);
-  json.Field("ratio_met", ratio_met);
-  json.EndObject();
-
-  json.Key("protocol_comparison");
-  json.BeginObject();
-  json.Field("workload", "kv_protocol");
-  json.Field("note",
-             "end-to-end protocol pair; the KV workload stays "
-             "crypto/protocol-bound even with the SHA-NI crypto kernel "
-             "enabled, so the end-to-end kernel gain (~1.17x re-measured "
-             "post-crypto-kernel) is far below the isolated flood ratio; "
-             "full runs gate it at a lenient floor");
-  json.Key("params");
-  json.BeginObject();
-  json.Field("f", pair_cfg.f);
-  json.Field("n", 3 * pair_cfg.f + 1);
-  json.Field("clients", pair_cfg.clients);
-  json.Field("requests_per_client", pair_cfg.requests_per_client);
-  json.Field("seed", pair_cfg.seed);
-  json.EndObject();
-  json.Key("legacy");
-  EmitRunJson(json, proto_legacy);
-  json.Key("scale");
-  EmitRunJson(json, proto_fast);
-  json.Field("events_per_sec_ratio", protocol_ratio);
-  json.Field("identical_event_counts",
-             proto_legacy.sim_events == proto_fast.sim_events);
-  json.Field("ratio_floor", protocol_floor);
-  json.Field("gated", !smoke);
-  json.Field("ratio_met", protocol_ratio_met);
-  json.EndObject();
-
-  // --- Part 2: group-size × client-count sweep (scale kernel) --------------
+  // --- Part 1: group-size × client-count sweep ------------------------------
   const std::vector<int> fs = smoke ? std::vector<int>{1, 8}
                                     : std::vector<int>{1, 2, 3, 4, 8};
   const std::vector<int> client_counts =
@@ -551,7 +285,7 @@ int main(int argc, char** argv) {
       cfg.requests_per_client = std::max(2, budget / clients);
       cfg.seed = 7200 + cell;
       ++cell;
-      ScaleStats s = RunOnce(cfg, /*scale_kernel=*/true);
+      ScaleStats s = RunOnce(cfg);
       all_ok = all_ok && s.ok;
       const int n = 3 * f + 1;
       sweep_table.AddRow({FormatCount(n), FormatCount(clients),
@@ -577,7 +311,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // --- Part 3: sharded keyed scale-out sweep -----------------------------
+  // --- Part 2: sharded keyed scale-out sweep -----------------------------
   // The scaling gate needs the S = 1 group saturated (queueing at the
   // primary): with too few closed-loop clients each shard is latency-bound
   // and splitting the load shows no queueing win. The full gate cell runs
@@ -692,11 +426,6 @@ int main(int argc, char** argv) {
       "sharded aggregate sim ops/s at %d clients: S=4 is %.2fx S=1 "
       "(floor %.2fx)\n",
       gate_clients, shard_ratio, shard_floor);
-  std::printf(
-      "\n'legacy' reproduces the pre-overhaul kernel (std::function events,\n"
-      "copy-on-pop priority queue, std::map node tables, string-keyed\n"
-      "metrics) via hotpath::SetScaleKernelEnabled(false); both kernels run\n"
-      "byte-identical event sequences (tests/kernel_witness_test.cc).\n");
 
   if (!json.WriteFile(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());
@@ -706,16 +435,6 @@ int main(int argc, char** argv) {
 
   if (!all_ok) {
     std::printf("FAILED: some runs did not complete\n");
-    return 1;
-  }
-  if (!ratio_met) {
-    std::printf("FAILED: scale kernel events/sec ratio %.2fx below %.2fx\n",
-                kernel_ratio, ratio_floor);
-    return 1;
-  }
-  if (!protocol_ratio_met) {
-    std::printf("FAILED: kv protocol events/sec ratio %.2fx below %.2fx\n",
-                protocol_ratio, protocol_floor);
     return 1;
   }
   if (!shard_ratio_met) {

@@ -100,9 +100,9 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
   // need their digest recomputed. Every replica digests the same abstract
   // objects, so each leaf is first looked up in the simulation's digest
   // cache (on this thread, before any pool job runs); only the misses are
-  // hashed — as interleaved SHA-256 lanes with the crypto kernel on (same
-  // digests, same simulated charges, same logical-work counters), otherwise
-  // one at a time — and stored back after the joins, in leaf order.
+  // hashed, as interleaved SHA-256 lanes (same digests, simulated charges
+  // and logical-work counters as hashing them one at a time), and stored
+  // back after the joins, in leaf order.
   DigestCache& cache = sim_->digests();
   std::vector<size_t> leaves(dirty_.begin(), dirty_.end());
   std::vector<Bytes> values;
@@ -124,39 +124,33 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
     }
   }
   std::vector<std::array<uint8_t, Digest::kSize>> hashed(misses.size());
-  if (hotpath::crypto_kernel_enabled()) {
-    // Epilogue sharding: DigestMany processes inputs in independent groups
-    // of kMaxLanes in order, so splitting the miss range at lane-multiple
-    // boundaries produces byte-identical digests AND identical logical-work
-    // counters per chunk. Chunks run as worker-pool jobs (inline at the join
-    // when the pool has no threads); `values`/`miss_views`/`hashed` outlive
-    // the joins below, and the merge order is the fixed leaf order
-    // regardless of which worker finished first.
-    constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
-    const size_t count = miss_views.size();
-    auto* out = reinterpret_cast<uint8_t(*)[Digest::kSize]>(hashed.data());
-    if (count > kChunk) {
-      std::vector<WorkerPool::JobRef> jobs;
-      jobs.reserve(count / kChunk + 1);
-      for (size_t off = 0; off < count; off += kChunk) {
-        const size_t len = std::min(kChunk, count - off);
-        const BytesView* in = miss_views.data() + off;
-        uint8_t(*chunk_out)[Digest::kSize] = out + off;
-        ++hotpath::counters().pool_digest_shard_jobs;
-        jobs.push_back(WorkerPool::Global().Submit([in, chunk_out, len] {
-          sha256_multi::DigestMany(in, chunk_out, len);
-        }));
-      }
-      for (const WorkerPool::JobRef& job : jobs) {
-        WorkerPool::Global().Join(job);
-      }
-    } else {
-      sha256_multi::DigestMany(miss_views.data(), out, count);
+  // Epilogue sharding: DigestMany processes inputs in independent groups
+  // of kMaxLanes in order, so splitting the miss range at lane-multiple
+  // boundaries produces byte-identical digests AND identical logical-work
+  // counters per chunk. Chunks run as worker-pool jobs (inline at the join
+  // when the pool has no threads); `values`/`miss_views`/`hashed` outlive
+  // the joins below, and the merge order is the fixed leaf order
+  // regardless of which worker finished first.
+  constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
+  const size_t count = miss_views.size();
+  auto* out = reinterpret_cast<uint8_t(*)[Digest::kSize]>(hashed.data());
+  if (count > kChunk) {
+    std::vector<WorkerPool::JobRef> jobs;
+    jobs.reserve(count / kChunk + 1);
+    for (size_t off = 0; off < count; off += kChunk) {
+      const size_t len = std::min(kChunk, count - off);
+      const BytesView* in = miss_views.data() + off;
+      uint8_t(*chunk_out)[Digest::kSize] = out + off;
+      ++hotpath::counters().pool_digest_shard_jobs;
+      jobs.push_back(WorkerPool::Global().Submit([in, chunk_out, len] {
+        sha256_multi::DigestMany(in, chunk_out, len);
+      }));
+    }
+    for (const WorkerPool::JobRef& job : jobs) {
+      WorkerPool::Global().Join(job);
     }
   } else {
-    for (size_t j = 0; j < miss_views.size(); ++j) {
-      hashed[j] = Digest::Of(miss_views[j]).array();
-    }
+    sha256_multi::DigestMany(miss_views.data(), out, count);
   }
   for (size_t j = 0; j < misses.size(); ++j) {
     digests[misses[j]] = Digest(hashed[j]);

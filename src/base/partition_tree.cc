@@ -29,8 +29,7 @@ void PartitionTree::Resize(size_t leaf_count) {
   // same bytes. Keep those digests; the next Root() skips re-hashing them.
   // Depth growth shifts every node's level id (which is bound into its
   // hash), so nothing is preservable then.
-  if (!hotpath::crypto_kernel_enabled() || old_leaf_count == 0 ||
-      old_levels.size() != levels_.size()) {
+  if (old_leaf_count == 0 || old_levels.size() != levels_.size()) {
     return;
   }
   size_t span = 1;  // leaves covered per node at the current level
@@ -114,11 +113,10 @@ Digest PartitionTree::ComputeNode(int level, size_t index) {
   size_t first = index * branching_;
   size_t last = std::min(first + branching_, child_width);
   Node& node = levels_[level][index];
-  if (!node.stale && hotpath::crypto_kernel_enabled()) {
+  if (!node.stale) {
     // Digest preserved across a grow. The children still get their model
-    // visit (the legacy path recomputed the whole subtree, and the cost
-    // model must charge identically), but no bytes are hashed for them
-    // unless their own digests are stale.
+    // visit (the cost model charges a grow as a full-subtree recompute),
+    // but no bytes are hashed for them unless their own digests are stale.
     for (size_t child = first; child < last; ++child) {
       NodeDigest(level + 1, child);
     }

@@ -68,7 +68,7 @@ std::optional<Digest> DigestCache::Lookup(BytesView data) {
   if (data.size() < kMinBytes) {
     return std::nullopt;
   }
-  if (hotpath::caches_enabled() && data.size() <= kMaxBytes) {
+  if (data.size() <= kMaxBytes) {
     const uint64_t key = ContentKey(data);
     const Slot& slot = slots_[key % kSlots];
     if (slot.key == key && slot.bytes.size() == data.size() &&
@@ -82,8 +82,7 @@ std::optional<Digest> DigestCache::Lookup(BytesView data) {
 }
 
 void DigestCache::Store(BytesView data, const Digest& digest) {
-  if (data.size() < kMinBytes || data.size() > kMaxBytes ||
-      !hotpath::caches_enabled()) {
+  if (data.size() < kMinBytes || data.size() > kMaxBytes) {
     return;
   }
   const uint64_t key = ContentKey(data);

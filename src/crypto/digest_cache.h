@@ -24,8 +24,7 @@
 // cache skips only real SHA-256 work, so virtual time is unchanged. Not
 // thread-safe: one cache belongs to one Simulation and is used only on its
 // thread (checkpoint digests look up before and store after their pool
-// jobs). hotpath::caches_enabled() false makes it inert: every eligible
-// lookup misses and nothing is stored.
+// jobs).
 //
 // Counts hotpath digest_memo_hits / digest_memo_misses for inputs of at
 // least kMinBytes; the sha256_* counters see only the hashing that runs.

@@ -94,13 +94,7 @@ void Sha256::ProcessBlocks(const uint8_t* data, size_t nblocks) {
   // Same logical work (sha256_blocks counts it identically) whichever
   // compression unit runs: buffered, bulk and padding blocks all dispatch.
   hotpath::counters().sha256_blocks += nblocks;
-  if (hotpath::crypto_kernel_enabled()) {
-    sha256_multi::CompressBlocks(state_, data, nblocks);
-    return;
-  }
-  for (size_t i = 0; i < nblocks; ++i) {
-    sha256_internal::Compress(state_, data + 64 * i);
-  }
+  sha256_multi::CompressBlocks(state_, data, nblocks);
 }
 
 void sha256_internal::Compress(uint32_t state_[8], const uint8_t block[64]) {
@@ -149,8 +143,7 @@ void sha256_internal::Compress(uint32_t state_[8], const uint8_t block[64]) {
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Hash(BytesView data) {
   std::array<uint8_t, kDigestSize> out;
-  if (hotpath::crypto_kernel_enabled() &&
-      data.size() <= sha256_multi::kOneShotMax) {
+  if (data.size() <= sha256_multi::kOneShotMax) {
     // Single padded compression; counters match the streaming path exactly
     // (one block, one finalize, message bytes only).
     auto& c = hotpath::counters();

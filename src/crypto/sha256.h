@@ -3,9 +3,9 @@
 // The BFT protocol hashes requests, replies, checkpoints and every node of
 // the state-partition tree, so digest throughput shows up directly in the
 // replication overhead the paper measures. The implementation is a
-// streaming hasher with no dependencies; with the crypto kernel on, every
-// block it compresses (buffered, bulk or padding) runs through
-// sha256_multi::CompressBlocks, i.e. on SHA-NI where the CPU has it.
+// streaming hasher with no dependencies; every block it compresses
+// (buffered, bulk or padding) runs through sha256_multi::CompressBlocks,
+// i.e. on SHA-NI where the CPU has it.
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -18,8 +18,8 @@ namespace bftbase {
 
 namespace sha256_internal {
 // Scalar reference compression of one 64-byte block (no counter side
-// effects). Shared with src/crypto/sha256_multi.cc as its portable fallback
-// and by the equivalence tests as ground truth.
+// effects). The portable fallback of src/crypto/sha256_multi.cc, and the
+// ground truth of the scalar oracle in tests/sha256_reference.h.
 void Compress(uint32_t state[8], const uint8_t block[64]);
 }  // namespace sha256_internal
 

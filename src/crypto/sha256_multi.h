@@ -21,12 +21,12 @@
 //      implementation the compiler vectorizes and bulk falls back to the
 //      scalar reference.
 //
-// Everything here is gated by hotpath::crypto_kernel_enabled(); with the
-// switch off, callers take the scalar streaming path bit-for-bit as before.
-// Counter discipline: these primitives bump only their per-path counters
+// Outputs are byte-identical to sha256_internal::Compress driven block by
+// block (tests/sha256_reference.h is that scalar oracle). Counter
+// discipline: these primitives bump only their per-path counters
 // (sha256_ni_blocks, sha256_multi_blocks, sha256_oneshot); callers keep
-// bumping the generic sha256_blocks/invocations/bytes_hashed so the logical
-// work counters agree exactly with the scalar path.
+// bumping the generic sha256_blocks/invocations/bytes_hashed, which count
+// logical work and are pinned exactly in the tests.
 #ifndef SRC_CRYPTO_SHA256_MULTI_H_
 #define SRC_CRYPTO_SHA256_MULTI_H_
 

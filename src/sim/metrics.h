@@ -30,7 +30,7 @@ class MetricsRegistry {
   void Inc(std::string_view name, int node = kAny, int tag = kAny,
            uint64_t delta = 1);
 
-  // Pre-resolved counter handle for hot paths (the scale-out event kernel's
+  // Pre-resolved counter handle for hot paths (the event kernel's
   // network delivery path). Resolves the string-keyed lookup once and memoizes
   // the last (node, tag) cell, so a burst of same-sender traffic — e.g. the n
   // recipients of one multicast — updates a counter with one pointer chase

@@ -200,13 +200,8 @@ class Network {
                std::shared_ptr<const Bytes> payload);
 
   Simulation* sim_;
-  // Scale-kernel fast path: pre-resolved counter handles so the per-message
-  // accounting is a pointer chase instead of a string-map walk. When the
-  // simulation runs the legacy kernel (fast_metrics_ false) the same cells
-  // are updated through the legacy string-keyed MetricsRegistry::Inc calls,
-  // reproducing the pre-overhaul accounting cost for honest before/after
-  // benchmarking. Values and iteration order are identical either way.
-  bool fast_metrics_ = false;
+  // Pre-resolved counter handles, so the per-message accounting is a pointer
+  // chase instead of a string-map walk.
   // True while no lever that PassesFaultChecks consults is armed; lets the
   // fast path skip the per-message set walks entirely.
   bool no_faults_armed_ = true;

@@ -1,15 +1,7 @@
 #include "src/util/hotpath.h"
 
-#include <atomic>
-
 namespace bftbase {
 namespace hotpath {
-
-namespace {
-std::atomic<bool> g_caches_enabled{true};
-std::atomic<bool> g_crypto_kernel_enabled{true};
-std::atomic<bool> g_scale_kernel_enabled{true};
-}  // namespace
 
 void MergeCounters(const Counters& delta) {
   Counters& c = internal::g_counters;
@@ -36,30 +28,6 @@ void MergeCounters(const Counters& delta) {
 }
 
 void ResetCounters() { internal::g_counters = Counters{}; }
-
-bool caches_enabled() {
-  return g_caches_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCachesEnabled(bool enabled) {
-  g_caches_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool crypto_kernel_enabled() {
-  return g_crypto_kernel_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCryptoKernelEnabled(bool enabled) {
-  g_crypto_kernel_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool scale_kernel_enabled() {
-  return g_scale_kernel_enabled.load(std::memory_order_relaxed);
-}
-
-void SetScaleKernelEnabled(bool enabled) {
-  g_scale_kernel_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 }  // namespace hotpath
 }  // namespace bftbase

@@ -1,16 +1,13 @@
-// Process-wide hot-path instrumentation and optimization switches.
+// Process-wide hot-path instrumentation counters.
 //
-// The zero-copy fabric and the crypto caches optimize *real* CPU work (SHA-256
-// compressions, allocations, payload memcpy) without touching the simulated
-// cost model, so the counters here measure what actually got cheaper. They
-// live below the sim layer because crypto and the codec cannot see a
-// MetricsRegistry; SyncHotPathCounters (src/sim/metrics.h) copies them into a
-// registry so benches can snapshot/diff them per phase.
-//
-// SetCachesEnabled(false) turns off every result cache (digest cache, HMAC
-// midstates, session-key reuse) while keeping behaviour byte-identical; the
-// wall-clock bench uses it to measure honest before/after numbers in one
-// binary.
+// The zero-copy fabric, the crypto kernel and the crypto caches optimize
+// *real* CPU work (SHA-256 compressions, allocations, payload memcpy) without
+// touching the simulated cost model, so the counters here measure what
+// actually got cheaper. They live below the sim layer because crypto and the
+// codec cannot see a MetricsRegistry; SyncHotPathCounters
+// (src/sim/metrics.h) copies them into a registry so benches can
+// snapshot/diff them per phase. The logical-work counts of the wall-clock
+// bench configs are pinned in tests/kernel_witness_test.cc.
 #ifndef SRC_UTIL_HOTPATH_H_
 #define SRC_UTIL_HOTPATH_H_
 
@@ -44,7 +41,7 @@ struct Counters {
   // stored copy, and those that were hashed. Shorter inputs bypass it.
   uint64_t digest_memo_hits = 0;
   uint64_t digest_memo_misses = 0;
-  // Event kernel (src/sim/simulation.cc, scale kernel only).
+  // Event kernel (src/sim/simulation.cc).
   uint64_t event_pool_allocs = 0;   // pool misses: a fresh slot was created
   uint64_t event_pool_reuses = 0;   // pool hits: a slot came off the free list
   uint64_t events_pruned = 0;       // cancelled timers discarded before firing
@@ -72,34 +69,6 @@ inline Counters& counters() { return internal::g_counters; }
 // Adds every field of `delta` into the calling thread's shard.
 void MergeCounters(const Counters& delta);
 void ResetCounters();
-
-// The switches below are process-global and may be *read* from worker-pool
-// jobs while set only on the main thread between runs; they are atomics with
-// relaxed ordering so those reads are race-free under TSan.
-//
-// Result caches on/off (default on). Disabling reproduces the pre-cache
-// hashing profile exactly; outputs are identical either way.
-bool caches_enabled();
-void SetCachesEnabled(bool enabled);
-
-// Crypto kernel on/off (default on). When on, SHA-256 work routes through
-// src/crypto/sha256_multi.cc: SHA-NI (when the CPU has it) or interleaved
-// multi-lane compression for independent streams, single-compression
-// one-shot digests for short inputs, midstate-resumed HMAC finalization,
-// and digest preservation across partition-tree grows. Outputs are
-// byte-identical to the scalar streaming path and the simulated cost model
-// is untouched, so one binary measures an honest before/after.
-bool crypto_kernel_enabled();
-void SetCryptoKernelEnabled(bool enabled);
-
-// Scale-out event kernel on/off (default on). Sampled by Simulation at
-// construction: when off, the simulation uses the legacy event path (heap of
-// std::function events that are copied on pop and requeue, std::map node and
-// busy tables, string-keyed metric updates per message) so one binary can
-// measure an honest before/after. Event order, RNG draws and EventTrace
-// digests are byte-identical in both modes; only real CPU work differs.
-bool scale_kernel_enabled();
-void SetScaleKernelEnabled(bool enabled);
 
 }  // namespace hotpath
 }  // namespace bftbase

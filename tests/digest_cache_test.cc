@@ -130,27 +130,6 @@ TEST(DigestCache, CollidingInputReplacesSlotDeterministically) {
   EXPECT_EQ(second_delta.misses, first_delta.misses);
 }
 
-TEST(DigestCache, DisabledCachesMakeItInert) {
-  DigestCache cache;
-  const Bytes data = Input(8);
-  hotpath::SetCachesEnabled(false);
-  const hotpath::Counters before = hotpath::counters();
-  const Digest a = cache.Of(data);
-  const Digest b = cache.Of(data);
-  cache.Store(data, a);
-  const bool found = cache.Lookup(data).has_value();
-  const Delta d = Since(before);
-  hotpath::SetCachesEnabled(true);
-  EXPECT_EQ(a, Digest::Of(data));
-  EXPECT_EQ(b, a);
-  EXPECT_FALSE(found);
-  EXPECT_EQ(d.hits, 0u);
-  EXPECT_EQ(d.misses, 3u);
-  EXPECT_EQ(d.hashes, 2u);
-  EXPECT_EQ(cache.stored_bytes(), 0u);
-  EXPECT_FALSE(cache.Lookup(data).has_value());
-}
-
 // Runs a short replicated-file-service session with 8 KiB writes and
 // returns the digest-cache counters it produced.
 Delta RunFileSession(uint64_t seed) {

@@ -1,6 +1,8 @@
 // Unit and property tests for the hierarchical state-partition tree.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/base/partition_tree.h"
 #include "src/util/hotpath.h"
 #include "src/util/rng.h"
@@ -119,57 +121,50 @@ TEST(PartitionTree, GrowKeepsExistingLeaves) {
   EXPECT_TRUE(tree.Leaf(50).IsZero());
 }
 
-// Restores the crypto-kernel switch on scope exit.
-class ScopedCryptoKernel {
- public:
-  explicit ScopedCryptoKernel(bool on)
-      : prev_(hotpath::crypto_kernel_enabled()) {
-    hotpath::SetCryptoKernelEnabled(on);
-  }
-  ~ScopedCryptoKernel() { hotpath::SetCryptoKernelEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 TEST(PartitionTree, IncrementalGrowRehashMatchesFullRebuild) {
-  // Growing the tree and re-digesting only the genuinely stale paths must
-  // give the same root as the legacy rebuild-everything path, and the
-  // cost-model node count (which feeds the simulated CPU charge) must be
-  // identical either way.
-  for (int branching : {2, 4, 16}) {
-    std::vector<int> sizes = {5, 9, 16, 40, 41, 100};
-    uint64_t legacy_recomputed = 0;
-    uint64_t kernel_recomputed = 0;
-    Digest legacy_roots[6];
-    Digest kernel_roots[6];
-    for (bool kernel : {false, true}) {
-      ScopedCryptoKernel scoped(kernel);
-      hotpath::ResetCounters();
-      PartitionTree tree(branching);
-      int set = 0;
-      for (size_t step = 0; step < sizes.size(); ++step) {
-        tree.Resize(sizes[step]);
-        for (; set < sizes[step]; ++set) {
-          tree.SetLeaf(set, LeafDigest(set));
-        }
-        (kernel ? kernel_roots : legacy_roots)[step] = tree.Root();
+  // Growing the tree re-hashes only the genuinely stale paths; every root
+  // must equal a freshly built tree's. The cost-model node count (which
+  // feeds the simulated CPU charge) is pinned per step: these are the counts
+  // the rebuild-everything path charged, recorded before it was retired,
+  // and the real work splits them into rehashed and preserved nodes.
+  struct Pin {
+    int branching;
+    uint64_t recomputed[6];
+    uint64_t rehashed;
+    uint64_t preserved;
+  };
+  const Pin pins[] = {
+      {2, {6, 11, 15, 41, 44, 102}, 174, 45},
+      {4, {3, 4, 5, 14, 15, 35}, 61, 15},
+      {16, {1, 1, 1, 4, 4, 8}, 15, 4},
+  };
+  const int sizes[] = {5, 9, 16, 40, 41, 100};
+  for (const Pin& pin : pins) {
+    hotpath::ResetCounters();
+    PartitionTree tree(pin.branching);
+    int set = 0;
+    for (size_t step = 0; step < std::size(sizes); ++step) {
+      tree.Resize(sizes[step]);
+      for (; set < sizes[step]; ++set) {
+        tree.SetLeaf(set, LeafDigest(set));
       }
-      (kernel ? kernel_recomputed : legacy_recomputed) =
-          tree.TakeRecomputedNodes();
-      if (kernel) {
-        EXPECT_GT(hotpath::counters().tree_nodes_preserved, 0u)
-            << "branching " << branching;
-      } else {
-        EXPECT_EQ(hotpath::counters().tree_nodes_preserved, 0u);
+      const Digest root = tree.Root();
+      EXPECT_EQ(tree.TakeRecomputedNodes(), pin.recomputed[step])
+          << "branching " << pin.branching << " step " << step;
+      const hotpath::Counters saved = hotpath::counters();
+      PartitionTree fresh(pin.branching);
+      fresh.Resize(sizes[step]);
+      for (int i = 0; i < sizes[step]; ++i) {
+        fresh.SetLeaf(i, LeafDigest(i));
       }
+      EXPECT_EQ(root, fresh.Root())
+          << "branching " << pin.branching << " step " << step;
+      hotpath::counters() = saved;  // count only the grown tree's work
     }
-    for (size_t step = 0; step < sizes.size(); ++step) {
-      EXPECT_EQ(kernel_roots[step], legacy_roots[step])
-          << "branching " << branching << " step " << step;
-    }
-    EXPECT_EQ(kernel_recomputed, legacy_recomputed)
-        << "branching " << branching;
+    EXPECT_EQ(hotpath::counters().tree_nodes_rehashed, pin.rehashed)
+        << "branching " << pin.branching;
+    EXPECT_EQ(hotpath::counters().tree_nodes_preserved, pin.preserved)
+        << "branching " << pin.branching;
   }
 }
 
@@ -177,7 +172,6 @@ TEST(PartitionTree, GrowThenMutateOldAndNewLeavesStaysConsistent) {
   // Preserved subtree digests must not go stale silently: after a grow,
   // mutate leaves inside and outside the preserved region and compare
   // against a freshly built tree.
-  ScopedCryptoKernel on(true);
   PartitionTree tree(4);
   tree.Resize(16);
   for (int i = 0; i < 16; ++i) {
