@@ -164,7 +164,9 @@ Mac HmacKey::MacOf(BytesView message) const {
 }
 
 KeyTable::KeyTable(uint64_t master_secret, int node_count)
-    : master_secret_(master_secret), epochs_(node_count, 0) {}
+    : master_secret_(master_secret),
+      epochs_(node_count, 0),
+      session_cache_(static_cast<size_t>(node_count) * node_count) {}
 
 Bytes KeyTable::DeriveSessionKey(int lo, int hi, uint64_t epoch) const {
   uint8_t material[24];
@@ -207,14 +209,18 @@ const HmacKey& KeyTable::PairKey(int a, int b) const {
   int lo = std::min(a, b);
   int hi = std::max(a, b);
   uint64_t epoch = std::max(epochs_[lo], epochs_[hi]);
-  // The cached marker is epoch + 1 so that a default-constructed slot (0)
-  // can never pass for a legitimate epoch-0 entry.
-  auto& slot = session_cache_[{lo, hi}];
-  if (slot.first != epoch + 1) {
-    slot.second = HmacKey(DeriveSessionKey(lo, hi, epoch));
-    slot.first = epoch + 1;
+  // The cached marker is epoch + 1 so that a fresh slot (0) can never pass
+  // for a legitimate epoch-0 entry.
+  std::unique_ptr<SessionSlot>& slot =
+      session_cache_[static_cast<size_t>(lo) * epochs_.size() + hi];
+  if (slot == nullptr) {
+    slot = std::make_unique<SessionSlot>();
   }
-  return slot.second;
+  if (slot->built != epoch + 1) {
+    slot->key = HmacKey(DeriveSessionKey(lo, hi, epoch));
+    slot->built = epoch + 1;
+  }
+  return slot->key;
 }
 
 void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
@@ -261,12 +267,14 @@ void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
 
 std::array<uint8_t, Sha256::kDigestSize> KeyTable::Sign(
     int node, BytesView message) const {
-  auto it = signing_cache_.find(node);
-  if (it == signing_cache_.end()) {
-    Bytes key = SigningKey(node);
-    it = signing_cache_.emplace(node, HmacKey(key)).first;
+  if (static_cast<size_t>(node) >= signing_cache_.size()) {
+    signing_cache_.resize(node + 1);
   }
-  return it->second.Hmac(message);
+  std::unique_ptr<HmacKey>& key = signing_cache_[node];
+  if (key == nullptr) {
+    key = std::make_unique<HmacKey>(SigningKey(node));
+  }
+  return key->Hmac(message);
 }
 
 void KeyTable::RefreshKeysFor(int node) { ++epochs_[node]; }

@@ -16,8 +16,7 @@
 #define SRC_CRYPTO_HMAC_H_
 
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "src/crypto/digest.h"
@@ -75,6 +74,11 @@ class KeyTable {
   // that proofs containing old signed messages stay verifiable.
   Bytes SigningKey(int node) const;
 
+  // The pair's HmacKey at the current epoch, built on first use per epoch.
+  // The reference stays valid for the table's lifetime: filling other pairs
+  // never moves it, and a refresh rebuilds the key in place.
+  const HmacKey& PairKey(int a, int b) const;
+
   // MAC of `message` under the pairwise session key of a and b. Equivalent to
   // ComputeMac(SessionKey(a, b), message) but reuses the cached HmacKey.
   Mac PairMac(int a, int b, BytesView message) const;
@@ -100,17 +104,19 @@ class KeyTable {
 
  private:
   Bytes DeriveSessionKey(int lo, int hi, uint64_t epoch) const;
-  // The pair's HmacKey at the current epoch, built on first use per epoch.
-  const HmacKey& PairKey(int a, int b) const;
 
   uint64_t master_secret_;
   std::vector<uint64_t> epochs_;
-  // (lo, hi) -> (built-at epoch + 1, HmacKey); rebuilt on epoch mismatch, so
-  // RefreshKeysFor invalidates naturally (the +1 keeps a default-constructed
-  // slot from passing for a real epoch-0 entry). Signing keys never rotate.
-  mutable std::map<std::pair<int, int>, std::pair<uint64_t, HmacKey>>
-      session_cache_;
-  mutable std::map<int, HmacKey> signing_cache_;
+  struct SessionSlot {
+    uint64_t built = 0;  // epoch the key was built at, + 1 (0: never built)
+    HmacKey key;
+  };
+  // Flat (lo * node_count + hi) index of lazily built slots; a slot is
+  // rebuilt on epoch mismatch, so RefreshKeysFor invalidates naturally.
+  // Slots are heap-allocated so the references PairKey returns stay valid
+  // while other pairs are filled in. Signing keys never rotate.
+  mutable std::vector<std::unique_ptr<SessionSlot>> session_cache_;
+  mutable std::vector<std::unique_ptr<HmacKey>> signing_cache_;  // by node
 };
 
 // An authenticator: one MAC per receiving replica. The sender computes all of

@@ -99,6 +99,10 @@ struct KeyedDriver {
     // Liveness of the current logical op: reset (released) on completion or
     // timeout; the timeout timer and chained phases check it first.
     std::shared_ptr<bool> op_alive;
+    // The current op's whole-op timeout timer and the shard it is queued
+    // on; OpDone cancels it so it leaves the event heap.
+    TimerId timeout = 0;
+    int timeout_shard = 0;
     std::vector<int> open_shards;  // shards with an in-flight sub-op
     int open_subs = 0;
   };
@@ -152,13 +156,14 @@ struct KeyedDriver {
 
   void OpDone(int w) {
     Worker& worker = workers[w];
-    // Disarm the op's timeout timer: it checks the flag before acting, so a
-    // completion must flip it or the timer later fires on a healthy worker
+    // Disarm the op's timeout timer: cancel it, and flip the flag it checks
+    // before acting, or the timer later fires on a healthy worker
     // (abandoning live sub-ops and double-advancing the plan).
     if (worker.op_alive != nullptr) {
       *worker.op_alive = false;
     }
     worker.op_alive = nullptr;
+    dep.Cancel(worker.timeout_shard, worker.timeout);  // no-op once fired
     worker.open_shards.clear();
     worker.open_subs = 0;
     ScheduleNext(w);
@@ -297,27 +302,28 @@ struct KeyedDriver {
 
     // Whole-logical-op timeout: abandon whatever is still open and move on;
     // the untouched history slots stay pending (effect unknown). OpDone
-    // flips `alive` on completion, which disarms this timer.
-    const int timer_shard = worker.open_shards.empty()
-                               ? 0
-                               : worker.open_shards.front();
-    dep.Schedule(timer_shard, options.op_timeout, [this, w, alive, guard] {
-      if (!*guard || !*alive) {
-        return;
-      }
-      *alive = false;
-      Worker& timed_out = workers[w];
-      // AbandonOn drops every sub-op queued on the shard (a multiget may
-      // chain two on one shard), firing their callbacks with abandoned
-      // completions — which the `alive` flag above already neutralizes.
-      for (int shard : timed_out.open_shards) {
-        dep.client(w).AbandonOn(shard);
-      }
-      timed_out.open_shards.clear();
-      timed_out.open_subs = 0;
-      timed_out.op_alive = nullptr;
-      ScheduleNext(w);
-    });
+    // cancels this timer on completion and flips `alive`; the flag still
+    // covers a timer left queued when the run ends at its drain deadline.
+    worker.timeout_shard =
+        worker.open_shards.empty() ? 0 : worker.open_shards.front();
+    worker.timeout = dep.Schedule(
+        worker.timeout_shard, options.op_timeout, [this, w, alive, guard] {
+          if (!*guard || !*alive) {
+            return;
+          }
+          *alive = false;
+          Worker& timed_out = workers[w];
+          // AbandonOn drops every sub-op queued on the shard (a multiget may
+          // chain two on one shard), firing their callbacks with abandoned
+          // completions — which the `alive` flag above already neutralizes.
+          for (int shard : timed_out.open_shards) {
+            dep.client(w).AbandonOn(shard);
+          }
+          timed_out.open_shards.clear();
+          timed_out.open_subs = 0;
+          timed_out.op_alive = nullptr;
+          ScheduleNext(w);
+        });
   }
 };
 

@@ -124,13 +124,12 @@ bool ShardedDeployment::RunUntilTrue(const std::function<bool()>& pred,
   }
 }
 
-void ShardedDeployment::Schedule(int s, SimTime delay,
-                                 std::function<void()> fn) {
+TimerId ShardedDeployment::Schedule(int s, SimTime delay, InlineFn fn) {
   assert(s >= 0 && s < shards());
   Simulation& sim = groups_[s]->sim();
   const SimTime target = global_now_ + delay;
   const SimTime local_delay = target > sim.Now() ? target - sim.Now() : 0;
-  sim.After(Simulation::kNoOwner, local_delay, std::move(fn));
+  return sim.After(Simulation::kNoOwner, local_delay, std::move(fn));
 }
 
 void ShardedDeployment::EnableTrace() {

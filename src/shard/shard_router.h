@@ -105,7 +105,10 @@ class ShardedDeployment {
   // Schedules `fn` on shard `s` to fire `delay` after the current global
   // time, translating into the shard's local clock (an idle shard's clock
   // lags global time; the trampoline re-synchronizes it on arrival).
-  void Schedule(int s, SimTime delay, std::function<void()> fn);
+  // Returns the shard-local timer id, for Cancel.
+  TimerId Schedule(int s, SimTime delay, InlineFn fn);
+  // Cancels a timer that Schedule(s, ...) returned; a no-op once it fired.
+  void Cancel(int s, TimerId id) { groups_[s]->sim().Cancel(id); }
 
   // --- Observability (fans out to every shard) ------------------------------
   void EnableTrace();

@@ -18,10 +18,12 @@
 //    entry in an unbounded side map.
 //
 //  - EventHeap: a 4-ary min-heap ordered by (time, seq) whose entries are
-//    24-byte PODs pointing into the pool. Push/pop/requeue sift plain
-//    integers; the event payload (callback, shared buffer) never moves once
-//    it lands in its pool slot. (time, seq) with unique seq is a strict
-//    total order, so pop order is fully determined by the schedule.
+//    24-byte PODs pointing into the pool. Push/pop sift plain integers, a
+//    requeue is one sift-down (ReplaceTop), and RemoveIf drops cancelled
+//    entries in bulk; the event payload (callback, shared buffer) never
+//    moves once it lands in its pool slot. (time, seq) with unique seq is a
+//    strict total order, so pop order is fully determined by the set of
+//    keys, whatever the heap's shape.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -237,6 +239,34 @@ class EventHeap {
       SiftDown(0);
     }
     return top;
+  }
+
+  // Replaces the top with `e`: the key set of a PopTop followed by a
+  // Push(e), in one sift-down instead of a sift-down and a sift-up.
+  void ReplaceTop(HeapEntry e) {
+    entries_.front() = e;
+    SiftDown(0);
+  }
+
+  // Drops every entry for which `pred` returns true (called exactly once per
+  // entry, so it may release the entry's pool slot), then re-heapifies
+  // bottom-up in O(n). Pop order depends only on the set of (time, seq)
+  // keys, so it is the same as if the dropped entries had been popped and
+  // discarded one by one.
+  template <typename Pred>
+  void RemoveIf(Pred pred) {
+    size_t kept = 0;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (!pred(entries_[i])) {
+        entries_[kept++] = entries_[i];
+      }
+    }
+    entries_.resize(kept);
+    if (kept > 1) {
+      for (size_t i = (kept - 2) / kArity + 1; i-- > 0;) {
+        SiftDown(i);  // every internal node, last first
+      }
+    }
   }
 
   bool Empty() const { return entries_.empty(); }

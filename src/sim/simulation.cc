@@ -55,7 +55,31 @@ void Simulation::Cancel(TimerId id) {
       slot.generation != generation) {
     return;  // already fired (slot freed or recycled): O(1) no-op
   }
+  if (slot.cancelled) {
+    return;  // repeated cancel: already a tombstone
+  }
+  // Tombstone the entry; it stays in the heap until it reaches the top or
+  // until tombstones make up more than half of the heap, when one O(n)
+  // compaction drops them all. Each compaction removes more than half of
+  // the heap, every entry of it cancelled once, so the cost is amortised
+  // O(1) per cancel.
   slot.cancelled = true;
+  ++cancelled_queued_;
+  if (2 * cancelled_queued_ > heap_.Size()) {
+    CompactCancelled();
+  }
+}
+
+void Simulation::CompactCancelled() {
+  heap_.RemoveIf([this](const HeapEntry& e) {
+    if (!pool_.at(e.pool_index).cancelled) {
+      return false;
+    }
+    pool_.Release(e.pool_index);
+    ++hotpath::counters().events_pruned;
+    return true;
+  });
+  cancelled_queued_ = 0;
 }
 
 void Simulation::ChargeCpu(SimTime cpu_cost) {
@@ -113,6 +137,7 @@ void Simulation::PruneCancelledTop() {
     }
     heap_.PopTop();
     pool_.Release(idx);
+    --cancelled_queued_;
     ++hotpath::counters().events_pruned;
   }
 }
@@ -122,7 +147,7 @@ bool Simulation::Step() {
   if (heap_.Empty()) {
     return false;
   }
-  const HeapEntry top = heap_.PopTop();
+  const HeapEntry top = heap_.Top();
   assert(top.time >= now_);
   now_ = top.time;
   PooledEvent& slot = pool_.at(top.pool_index);
@@ -130,15 +155,16 @@ bool Simulation::Step() {
   if (owner != kNoOwner) {
     const SimTime busy = BusyUntil(owner);
     if (busy > now_) {
-      // Defer behind the node's current work: push a fresh 24-byte heap
-      // entry pointing at the same pool slot. The event — callback, shared
-      // buffer and all — is moved, never copied.
-      heap_.Push({busy, next_seq_++, top.pool_index});
-      NotePushed(heap_.Size());
+      // Defer behind the node's current work: re-key the top entry in place
+      // (one sift-down; the heap's size is unchanged) so it points at the
+      // same pool slot at the node's busy horizon. The event — callback,
+      // shared buffer and all — is never copied or moved.
+      heap_.ReplaceTop({busy, next_seq_++, top.pool_index});
       ++hotpath::counters().events_requeued;
       return true;
     }
   }
+  heap_.PopTop();
   // Extract the event and release its slot before running the handler: the
   // handler may schedule new events, which can grow the pool (invalidating
   // references) and immediately recycle this slot.

@@ -16,8 +16,9 @@
 // (src/sim/event_queue.h) — deliveries are tagged structs, not capturing
 // lambdas; timers use small-buffer-optimized callables — scheduled by a
 // 4-ary heap of 24-byte PODs, with O(1) generation-checked timer
-// cancellation, dense NodeId-indexed node/busy tables, and pre-resolved
-// metric handles on the network path. Event order is exactly (time, seq);
+// cancellation (tombstones, compacted once they are half the heap), dense
+// NodeId-indexed node/busy tables, and pre-resolved metric handles on the
+// network path. Event order is exactly (time, seq);
 // same-seed EventTrace digests are pinned in tests/kernel_witness_test.cc
 // (DESIGN.md §10 has the determinism argument).
 #ifndef SRC_SIM_SIMULATION_H_
@@ -102,7 +103,11 @@ class Simulation {
   }
   // Cancels a pending timer; O(1) no-op if it already fired, was already
   // cancelled, or never existed (stale ids are detected by a per-slot
-  // generation check, so repeated cancels never grow any bookkeeping).
+  // generation check, so repeated cancels never grow any bookkeeping). The
+  // cancelled entry is a tombstone until it reaches the queue's head or
+  // tombstones outnumber live entries, when they are all compacted away
+  // (amortised O(1) per cancel; a Cancel never leaves more tombstones than
+  // live events queued).
   void Cancel(TimerId id);
 
   // Accounts CPU work for the node whose handler is currently running.
@@ -175,6 +180,8 @@ class Simulation {
   void RunDelivery(NodeId to, NodeId from, int tag,
                    std::shared_ptr<const Bytes> payload);
 
+  // Drops every cancelled entry from the heap and releases its pool slot.
+  void CompactCancelled();
   // Pops cancelled timers off the head of the queue so that the head always
   // refers to an event that will actually run; without this, deadline checks
   // in RunUntil/RunUntilTrue would look at a cancelled event's time and
@@ -203,6 +210,7 @@ class Simulation {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t peak_queue_depth_ = 0;
+  size_t cancelled_queued_ = 0;  // tombstones still in heap_
   SimTime handler_cpu_ = 0;  // CPU charged by the currently running handler
 
   EventPool pool_;

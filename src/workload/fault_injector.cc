@@ -312,8 +312,8 @@ void ArmFaultSchedule(ServiceGroup& group,
           }
           sim.After(Simulation::kNoOwner, event.duration,
                     [&sim, &group, e = event] {
-                      const int n = group.replica_count();
-                      for (NodeId peer = 0; peer < n; ++peer) {
+                      const int replicas = group.replica_count();
+                      for (NodeId peer = 0; peer < replicas; ++peer) {
                         if (peer == e.replica ||
                             ((e.side_mask >> peer) & 1) == 0) {
                           continue;

@@ -192,6 +192,28 @@ TEST(KeyTable, PairMacCacheInvalidatedByKeyRefresh) {
             ComputeMac(keys.SessionKey(2, 4), message));
 }
 
+TEST(KeyTable, PairKeyReferenceSurvivesFillingOtherPairs) {
+  // PairKey hands out a reference into the session cache, so filling the
+  // rest of the cache must not move an entry, and a refresh must rotate the
+  // key behind the same reference.
+  KeyTable keys(0x5150, 8);
+  Bytes message = ToBytes("stable reference");
+  const HmacKey& key = keys.PairKey(6, 1);
+  const Mac before = key.MacOf(message);
+  for (int a = 0; a < keys.node_count(); ++a) {
+    for (int b = 0; b < keys.node_count(); ++b) {
+      keys.PairMac(a, b, message);
+    }
+  }
+  EXPECT_EQ(&keys.PairKey(1, 6), &key);
+  EXPECT_EQ(key.MacOf(message), before);
+  EXPECT_EQ(before, ComputeMac(keys.SessionKey(1, 6), message));
+  keys.RefreshKeysFor(6);
+  EXPECT_EQ(&keys.PairKey(6, 1), &key);
+  EXPECT_NE(key.MacOf(message), before);
+  EXPECT_EQ(key.MacOf(message), ComputeMac(keys.SessionKey(1, 6), message));
+}
+
 TEST(KeyTable, SignMatchesHmacOverSigningKey) {
   KeyTable keys(0x77, 4);
   Bytes message = ToBytes("signed payload");

@@ -310,9 +310,35 @@ TEST(ShardKeyedWorkloadTest, CompletionDisarmsTimeoutAndStaleTimersAreInert) {
   EXPECT_EQ(r.timeouts, 0);
   EXPECT_EQ(r.invoked, r.committed + r.rejected);
   EXPECT_TRUE(r.verdict.linearizable) << r.verdict.explanation;
-  // Stale timers for completed ops may still sit in the shard sims; they
+  // Think-time and trampoline timers may still sit in the shard sims; they
   // must be inert now that the workload (and its driver) has returned.
   dep.RunUntil(dep.Now() + 60 * kSecond);
+}
+
+TEST(ShardKeyedWorkloadTest, CompletedOpsLeaveNoTimeoutInTheEventHeap) {
+  // Regression: every logical op armed a 30 s whole-op timeout that its
+  // completion only made inert, so a saturated run kept one dead timer per
+  // op in the event heap (peak depth ~43k here) until the run's end. OpDone
+  // now cancels it, and cancelled entries are compacted away.
+  ShardedDeployment::Params params;
+  params.shards = 1;
+  params.clients = 32;
+  params.seed = 1;
+  ShardedDeployment dep(params);
+  KeyedWorkloadOptions opts;
+  opts.seed = 1;
+  opts.clients = 32;
+  opts.ops_per_client = 1000;
+  opts.check_linearizability = false;  // exhaustive checker; digest suffices
+  KeyedWorkloadResult r = RunKeyedWorkload(dep, opts);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.timeouts, 0);
+  Simulation& sim = dep.shard(0).sim();
+  EXPECT_LT(sim.peak_queue_depth(), 1000u);
+  // What the run leaves queued is the replicas' own timers, not per-op or
+  // per-client leftovers: one stale timeout per worker would already reach
+  // this bound, and uncancelled timeouts left one per op (~32k).
+  EXPECT_LT(sim.queued_events(), static_cast<size_t>(opts.clients));
 }
 
 TEST(ShardKeyedWorkloadTest, SameSeedSameDigestsDifferentSeedDiffers) {

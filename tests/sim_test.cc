@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event simulation kernel and network model.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sim/network.h"
@@ -564,6 +567,34 @@ TEST(Simulation, CancelledPendingTimersRecycleSlots) {
   EXPECT_GE(after.event_pool_reuses - before.event_pool_reuses, 900u);
 }
 
+TEST(Simulation, CancelledFarTimersAreCompactedAway) {
+  // Regression: a cancelled timer used to stay in the heap until it reached
+  // the top, so far-future timeouts that were armed and cancelled per
+  // request piled up behind a live near event. Compaction now keeps the
+  // tombstones at most as many as the live events.
+  Simulation sim(1);
+  int near_fired = 0;
+  sim.After(Simulation::kNoOwner, 10, [&] { ++near_fired; });
+  const hotpath::Counters before = hotpath::counters();
+  for (int i = 0; i < 10000; ++i) {
+    TimerId far = sim.After(Simulation::kNoOwner, 1000 * kSecond, [] {
+      ADD_FAILURE() << "cancelled timer fired";
+    });
+    sim.Cancel(far);
+    ASSERT_LE(sim.queued_events(), 2u * 1u + 1u) << "after cancel " << i;
+  }
+  // Compacted entries give their pool slots back to the free list.
+  EXPECT_LE(sim.event_pool_slots(), 4u);
+  EXPECT_EQ(sim.event_pool_live(), sim.queued_events());
+  const hotpath::Counters& after = hotpath::counters();
+  EXPECT_GE(after.event_pool_reuses - before.event_pool_reuses, 9000u);
+  EXPECT_GE(after.events_pruned - before.events_pruned, 9999u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(near_fired, 1);
+  EXPECT_EQ(sim.Now(), 10);
+  EXPECT_EQ(sim.event_pool_live(), 0u);
+}
+
 TEST(Simulation, EventPoolRecyclesSlotsUnderSteadyTraffic) {
   Simulation sim(1);
   RecordingNode receiver;
@@ -686,6 +717,69 @@ TEST(Simulation, PeakQueueDepthTracksHighWaterMark) {
 // can (in degenerate shutdown orders) release a pooled buffer from a worker
 // thread. The freelist must tolerate concurrent Acquire/Release without
 // corruption or losing its size bound.
+TEST(EventHeap, PushReplaceTopAndRemoveIfPopInSortedKeyOrder) {
+  // Randomized differential check against a sorted reference: whatever mix
+  // of pushes, requeues (ReplaceTop) and bulk removals (RemoveIf) built the
+  // heap, it pops the surviving (time, seq) keys in ascending order. Times
+  // come from a narrow range so equal-time ties are common.
+  Rng rng(7);
+  EventHeap heap;
+  std::set<std::pair<SimTime, uint64_t>> reference;
+  uint64_t next_seq = 1;
+  auto expect_top_matches = [&] {
+    ASSERT_EQ(heap.Size(), reference.size());
+    if (!reference.empty()) {
+      EXPECT_EQ(heap.Top().time, reference.begin()->first);
+      EXPECT_EQ(heap.Top().seq, reference.begin()->second);
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < 50 || reference.empty()) {
+      const SimTime t = static_cast<SimTime>(rng.NextBelow(64));
+      const uint64_t seq = next_seq++;
+      heap.Push({t, seq, static_cast<uint32_t>(seq)});
+      reference.insert({t, seq});
+    } else if (roll < 75) {
+      // A requeue: the top moves to a later (or equal) time, new seq.
+      const SimTime t =
+          heap.Top().time + static_cast<SimTime>(rng.NextBelow(16));
+      const uint64_t seq = next_seq++;
+      reference.erase(reference.begin());
+      heap.ReplaceTop({t, seq, static_cast<uint32_t>(seq)});
+      reference.insert({t, seq});
+    } else if (roll < 97) {
+      const HeapEntry top = heap.PopTop();
+      EXPECT_EQ(top.time, reference.begin()->first);
+      EXPECT_EQ(top.seq, reference.begin()->second);
+      EXPECT_EQ(top.pool_index, static_cast<uint32_t>(top.seq));
+      reference.erase(reference.begin());
+    } else {
+      const uint64_t modulus = 2 + rng.NextBelow(3);
+      heap.RemoveIf([&](const HeapEntry& e) { return e.seq % modulus == 0; });
+      for (auto it = reference.begin(); it != reference.end();) {
+        it = it->second % modulus == 0 ? reference.erase(it) : std::next(it);
+      }
+    }
+    expect_top_matches();
+  }
+  while (!reference.empty()) {
+    const HeapEntry top = heap.PopTop();
+    EXPECT_EQ(top.time, reference.begin()->first);
+    EXPECT_EQ(top.seq, reference.begin()->second);
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(heap.Empty());
+  // Removing everything, or nothing, leaves a valid heap.
+  heap.Push({5, 1, 1});
+  heap.Push({3, 2, 2});
+  heap.RemoveIf([](const HeapEntry&) { return false; });
+  EXPECT_EQ(heap.Size(), 2u);
+  EXPECT_EQ(heap.Top().seq, 2u);
+  heap.RemoveIf([](const HeapEntry&) { return true; });
+  EXPECT_TRUE(heap.Empty());
+}
+
 TEST(BufferPool, SurvivesConcurrentAcquireRelease) {
   BufferPool::Clear();
   constexpr int kThreads = 8;
